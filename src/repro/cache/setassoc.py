@@ -13,9 +13,8 @@ events; the virtual-snooping residence counters
 (:mod:`repro.core.residence`) are implemented as an observer so the
 cache substrate stays protocol-agnostic.
 
-:meth:`SetAssociativeCache.packed` exports an array-backed mirror of the
-tag/LRU/dirty state (NumPy arrays when available, lists otherwise) for
-vectorised consumers and for the structural self-check
+:meth:`SetAssociativeCache.packed` exports a flat list mirror of the
+tag/LRU/dirty state for the structural self-check
 (:meth:`validate_packed`) the kernel differential suite runs.
 """
 
@@ -24,14 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.cache.line import CacheLine
-
-try:  # pragma: no cover - exercised via both CI variants
-    import numpy as _np
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    _HAVE_NUMPY = False
 
 
 class CacheObserver:
@@ -210,20 +201,19 @@ class SetAssociativeCache:
         return removed
 
     # ------------------------------------------------------------------
-    # Array-backed mirror.
+    # Flat list mirror.
     # ------------------------------------------------------------------
 
     def packed(self):
-        """Array-backed mirror of the tag/LRU/dirty/VM state.
+        """Flat list mirror of the tag/LRU/dirty/VM state.
 
-        Returns ``(tags, vm_ids, dirty)``, each of shape
+        Returns ``(tags, vm_ids, dirty)``, three lists of length
         ``num_sets * ways`` flattened set-major: entry ``s * ways + w``
         describes the line at LRU position ``w`` (least- to most-recent)
-        of set ``s``; empty ways hold ``-1`` tags. NumPy ``int64``/
-        ``bool_`` arrays when NumPy is installed, plain lists otherwise.
+        of set ``s``; empty ways hold ``-1`` tags.
 
         The dict sets stay the source of truth — the mirror is built on
-        demand for vectorised consumers and for :meth:`validate_packed`.
+        demand for :meth:`validate_packed`.
         """
         ways = self.ways
         size = self.num_sets * ways
@@ -236,12 +226,6 @@ class SetAssociativeCache:
                 tags[base + way] = line.block
                 vm_ids[base + way] = line.vm_id
                 dirty[base + way] = line.dirty
-        if _HAVE_NUMPY:
-            return (
-                _np.asarray(tags, dtype=_np.int64),
-                _np.asarray(vm_ids, dtype=_np.int64),
-                _np.asarray(dirty, dtype=_np.bool_),
-            )
         return tags, vm_ids, dirty
 
     def validate_packed(self) -> None:
@@ -263,7 +247,7 @@ class SetAssociativeCache:
             seen_empty = False
             occupied = []
             for way in range(ways):
-                tag = int(row[way])
+                tag = row[way]
                 if tag < 0:
                     seen_empty = True
                     continue

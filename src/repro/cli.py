@@ -449,35 +449,33 @@ def cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _profiled_measure_rate(config, app):
-    """Measured-phase ``(us/access, bulk summary)`` under cProfile.
+# Interleaved rounds per kernel in the profile command's comparison row.
+_KERNEL_ROUNDS = 3
+
+
+def _measured_phase_cpu(config, app):
+    """Unprofiled measured-phase ``(us/access, bulk summary)`` of a
+    config with a non-zero access budget.
 
     Builds (or snapshot-restores) a fresh system, then times only the
-    measured phase with the profiler enabled — the same conditions the
-    main ``repro-sim profile`` report runs under, so the kernel
-    comparison rows are like-for-like. The bulk summary is the batched
-    engine's ``bulk_summary()`` (``None`` for the reference engine,
-    which has no bulk-miss seam).
+    measured phase on ``time.process_time`` with no profiler attached:
+    cProfile's per-call overhead falls unevenly on the two kernels and
+    ranks them wrongly on migration-heavy cells. The bulk summary is
+    the batched engine's ``bulk_summary()`` (``None`` for the reference
+    engine, which has no bulk-miss seam).
     """
-    import cProfile
     import time
 
     from repro.sim import SimTask
     from repro.sim.runner import prepare_task
 
     system, engine, clocks = prepare_task(SimTask(config, app))
-    profiler = cProfile.Profile()
-    start = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
-    profiler.enable()
+    start = time.process_time()  # repro-lint: disable=RPL004; host timing only
     engine.measure(clocks)
-    profiler.disable()
-    elapsed = time.perf_counter() - start  # repro-lint: disable=RPL004; real-time profiling
+    elapsed = time.process_time() - start  # repro-lint: disable=RPL004; host timing only
     summary_fn = getattr(engine, "bulk_summary", None)
     summary = summary_fn() if summary_fn is not None else None
-    accesses = system.stats.l1_accesses
-    if not accesses:
-        return None, summary
-    return 1e6 * elapsed / accesses, summary
+    return 1e6 * elapsed / system.stats.l1_accesses, summary
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -557,32 +555,31 @@ def cmd_profile(args: argparse.Namespace) -> int:
     else:
         print("  store: disabled (REPRO_STORE=off)")
     if stats.l1_accesses:
-        # Reference-vs-batched comparison: one measured phase per kernel
-        # under identical profiled conditions. Results are bit-identical
-        # across kernels by construction, so the only difference worth a
-        # row is the per-access rate.
+        # Reference-vs-batched comparison: the median of interleaved,
+        # unprofiled measured phases per kernel, on CPU time. Results are
+        # bit-identical across kernels by construction, so the only
+        # difference worth a row is the per-access rate.
         from dataclasses import replace
+        from statistics import median
 
-        from repro.sim.mtstream import HAVE_NUMPY
-
-        rates = {}
+        samples = {"reference": [], "batched": []}
         summaries = {}
-        for kernel in ("reference", "batched"):
-            variant = replace(config, kernel=kernel, trace=None, sanitize=False)
-            rates[kernel], summaries[kernel] = _profiled_measure_rate(
-                variant, args.app
-            )
-        reference_rate = rates["reference"]
-        batched_rate = rates["batched"]
-        print("  kernel comparison (measured phase, profiled):")
-        if reference_rate is not None:
-            print(f"    reference: {reference_rate:8.2f} us/access")
-        if batched_rate is not None:
-            suffix = ""
-            if reference_rate and batched_rate:
-                suffix = f"  ({reference_rate / batched_rate:.1f}x vs reference)"
-            fallback = "" if HAVE_NUMPY else "  [numpy absent: stepper fallback]"
-            print(f"    batched:   {batched_rate:8.2f} us/access{suffix}{fallback}")
+        for _ in range(_KERNEL_ROUNDS):
+            for kernel in samples:
+                variant = replace(config, kernel=kernel, trace=None, sanitize=False)
+                rate, summaries[kernel] = _measured_phase_cpu(variant, args.app)
+                samples[kernel].append(rate)
+        reference_rate = median(samples["reference"])
+        batched_rate = median(samples["batched"])
+        print(
+            f"  kernel comparison (measured phase, unprofiled CPU time, "
+            f"median of {_KERNEL_ROUNDS} interleaved):"
+        )
+        print(f"    reference: {reference_rate:8.2f} us/access")
+        suffix = ""
+        if reference_rate and batched_rate:
+            suffix = f"  ({reference_rate / batched_rate:.2f}x vs reference)"
+        print(f"    batched:   {batched_rate:8.2f} us/access{suffix}")
         summary = summaries["batched"]
         if summary is not None:
             bulk = summary["bulk_transacts"]

@@ -9,27 +9,12 @@ bit-identical to the reference loop *by construction*, and the golden
 corpus, the snapshot differential suite and the kernel differential
 tests prove it byte-for-byte.
 
-Three generation paths, chosen per VM at phase start:
-
-``word``   (:class:`~repro.sim.mtstream.WordStream`, NumPy present)
-    The VM's ``random.Random`` is forked into a bulk MT19937 word
-    stream. Each refill fetches a block of raw words and decodes it in
-    two passes (:func:`_encode`): pass one resolves, vectorised across
-    every word offset, the access that would start there — category,
-    final write flag, the accepted hot-pool value of the rejection-
-    sampling chain, and the offset the next access starts at; pass two
-    walks the actual consumption chain from offset 0 and packs *only
-    the visited lanes* into one int each. The access loop then does no
-    draw arithmetic at all: read the next entry at a cursor, dispatch
-    on the category, store the absolute next-access pointer. The float
-    reconstruction ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` is exact
-    in float64 (no rounding at any step), and the category is a sum of
-    the same IEEE compares ``bisect_right`` performs, so every resolved
-    value agrees with CPython bit-for-bit.
+Two generation paths, chosen per vCPU at phase start:
 
 ``chunk``  (workloads advertising ``stream_chunk_independent``)
-    Trace-replay (and other pre-recorded) workloads materialise runs of
-    accesses in bulk — natively via ``stream_chunk`` or through
+    Single-vCPU ``VmWorkload`` VMs, pattern workloads and trace-replay
+    (or other pre-recorded) workloads materialise runs of accesses in
+    bulk — natively via ``stream_chunk`` or through
     :func:`stream_chunk_shim` for workloads that only expose
     ``next_access``. The refill size is clamped once, up front, to the
     vCPU's remaining phase budget (so positions land exactly where the
@@ -37,11 +22,12 @@ Three generation paths, chosen per VM at phase start:
     deadline (migration window / metrics sample), so chunk bookkeeping
     and boundary bookkeeping fold into a single per-refill computation.
 
-``step``   (fallback)
-    The reference per-access stepper closures. This is the pure-Python
-    path: still batched control flow, same micro-optimised loop body,
-    just per-access generation. Used when NumPy is absent, when a pool
-    is too large for the packed encoding, or for foreign workloads.
+``step``   (everything else)
+    The vCPU's stepper closure — for ``VmWorkload`` the oracle's own
+    ``make_stepper`` generator, called once per access. Multi-vCPU VMs
+    share one RNG and their shared/content/hyp/dom0 cursors, so only
+    per-access generation preserves the engine's exact draw
+    interleaving. The loop around it is still the batched one.
 
 Every coherence-visible event — a miss, a non-silent store, an eviction,
 COW, a migration window, a metrics sample — *bails out* to the same
@@ -83,19 +69,8 @@ from repro.hypervisor.vm import DOM0_VM_ID
 from repro.interconnect.messages import MessageKind
 from repro.mem.pagetype import PageType
 from repro.sim.engine import SimulationEngine
-from repro.sim.mtstream import HAVE_NUMPY, WordStream
 from repro.sim.system import HYPERVISOR_SPACE, SimulatedSystem
-from repro.workloads import generator
-from repro.workloads.generator import VmWorkload
 from repro.workloads.trace import Initiator
-
-if HAVE_NUMPY:  # pragma: no branch
-    import numpy as _np
-
-# The packed encoding and the inlined cursor walks bake the 64-block
-# page geometry in as literals; refuse to import against a drifted
-# generator rather than silently diverge.
-assert generator.BLOCKS_PER_PAGE == 64
 
 # Environment override for SimConfig.kernel == "auto" (CI differential
 # jobs force a kernel across a whole suite without touching configs).
@@ -105,38 +80,8 @@ _KERNEL_ENV = "REPRO_KERNEL"
 # all caches through the packed mirror (SetAssociativeCache.packed).
 _VALIDATE_ENV = "REPRO_KERNEL_VALIDATE"
 
-# Words fetched per WordStream refill. Each access consumes 4-8 words,
-# so the default amortises one numpy encode + tolist over ~3k accesses.
-# Overridable for tests that want refills landing on interesting edges.
-_BLOCK_WORDS_ENV = "REPRO_KERNEL_BLOCK"
-_DEFAULT_BLOCK_WORDS = 16384
-_MIN_BLOCK_WORDS = 32
-
 # Accesses per stream_chunk refill on the chunk path.
 _CHUNK_ACCESSES = 256
-
-# Packed-entry field widths of _encode (see layout there). Hot-pool
-# draws are ``word >> (32 - bits)`` and pool sizes are coverage-capped,
-# so 16 bits per pool is generous; VMs exceeding it fall back to the
-# stepper path. The pointer field carries the *absolute* word offset the
-# next access starts at, so buffers are capped at 2**_PTR_BITS words
-# (enforced in _block_words; rejection chains long enough to outgrow a
-# grown buffer have probability ~2**-500 per extra block).
-_FIELD_BITS = 16
-_PTR_BITS = 24
-_PTR_MASK = (1 << _PTR_BITS) - 1
-_RES_SHIFT = 4 + _PTR_BITS
-
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, as CPython's random()
-
-# _pool goes dense (full-width scan) when at least one lane in this many
-# is hot. The cutover is deliberately late: the dense scan is a few
-# fixed O(m) passes while the walker pays per-round call overhead, so
-# the walker only wins when a category is present but genuinely rare.
-_DENSE_CUTOVER = 64
-
-# Hypervisor/dom0 write fraction (a literal in the generator's stepper).
-_HYP_WRITE_FRACTION = 0.2
 
 
 def engine_for(system: SimulatedSystem) -> SimulationEngine:
@@ -192,414 +137,6 @@ def stream_chunk_shim(workload, vcpu_index: int, count: int) -> List[tuple]:
     except StopIteration:
         pass
     return out
-
-
-def _block_words() -> int:
-    raw = os.environ.get(_BLOCK_WORDS_ENV)
-    if not raw:
-        return _DEFAULT_BLOCK_WORDS
-    # Upper clamp keeps buffer offsets inside the packed entries'
-    # _PTR_BITS pointer field with room for carried-over tails.
-    return min(max(_MIN_BLOCK_WORDS, int(raw)), 1 << (_PTR_BITS - 2))
-
-
-def _shifted(array, k: int, fill, m: int, dtype):
-    """``array`` advanced by ``k`` offsets, padded with ``fill``."""
-    out = _np.empty(m, dtype=dtype)
-    keep = m - k if m > k else 0
-    out[:keep] = array[k:]
-    out[keep:] = fill
-    return out
-
-
-def _pool(first, idx, hot, m: int, bits: int, pool: int, scratch=None):
-    """Resolve one hot pool's rejection sampling for the lanes in ``hot``.
-
-    ``getrandbits(bits)`` is ``word >> (32 - bits)``; the stepper redraws
-    while the value is >= the pool size. ``hot`` holds the *access
-    start* offsets ``i`` (chains start at ``i + 4``). Returns
-    ``(accept, resolved)`` aligned to ``hot``: the accepting word
-    offset (``m`` when the chain runs off the buffer — the caller's
-    skip bound then marks the lane invalid) and the accepted value
-    (0 on off-buffer lanes).
-
-    Two strategies, chosen by hot-lane density:
-
-    * Dense (>= 1 lane in 6): full-width scan. A chain starting at
-      ``j`` accepts at the first offset >= ``j`` whose draw lands
-      inside the pool, so a reverse running minimum over the accepting
-      positions resolves every chain in a handful of O(m) passes.
-    * Sparse: the stepper's redraw loop run over all chains at once —
-      each round draws at every unresolved chain's offset, retires the
-      accepting ones, advances the rest one word. ``bits`` is the pool
-      size's bit length, so each round accepts with probability > 1/2
-      and the active set dies off geometrically. Work scales with
-      ``hot.size``, not ``m``, but each round costs fixed call
-      overhead — hence the density cutover.
-    """
-    shift = _np.uint64(32 - bits)
-    limit = _np.uint64(pool)
-    if hot.size * _DENSE_CUTOVER >= m:
-        if scratch is not None:
-            draws = scratch["u64"]
-            _np.right_shift(first, shift, out=draws)
-            rejected = scratch["bool"]
-            _np.greater_equal(draws, limit, out=rejected)
-            candidate = scratch["i32d"]
-            _np.multiply(rejected, m, out=candidate)
-            candidate += idx
-        else:
-            draws = first >> shift
-            rejected = draws >= limit
-            candidate = idx + rejected.astype(_np.int32) * m
-        # In-place reverse running minimum: first accepting offset >= j.
-        reverse = candidate[::-1]
-        _np.minimum.accumulate(reverse, out=reverse)
-        start = hot + 4
-        accept = candidate.take(_np.minimum(start, m - 1))
-        accept[start >= m] = m
-        resolved = draws.take(_np.minimum(accept, m - 1)).astype(_np.int32)
-        return accept, resolved
-    accept = _np.full(hot.shape, m, dtype=_np.int32)
-    resolved = _np.zeros(hot.shape, dtype=_np.int32)
-    active = _np.arange(hot.size, dtype=_np.int32)
-    position = hot + 4
-    while position.size:
-        inside = position < m
-        if not inside.all():
-            active = active[inside]
-            position = position[inside]
-            if not position.size:
-                break
-        draws = first.take(position) >> shift
-        accepted = draws < limit
-        if accepted.any():
-            retired = active[accepted]
-            accept[retired] = position[accepted]
-            resolved[retired] = draws[accepted].astype(_np.int32)
-            rejected = ~accepted
-            active = active[rejected]
-            position = position[rejected]
-        position += 1
-    return accept, resolved
-
-
-def _encode(words, enc) -> list:
-    """Two-pass decode: packed entries for the *consumed* accesses only.
-
-    ``words`` is a uint64 ndarray of raw MT19937 output words. Pass one
-    resolves, vectorised across every word offset ``i``, the access that
-    would start there (category draw at ``i``/``i+1``, base write draw
-    at ``i+2``/``i+3``, category-specific draws after) — full-width work
-    is unavoidable for the rejection chains. Pass two walks the actual
-    consumption chain from offset 0 (each access advances the stream by
-    its own word count, so the chain is known statically) and gathers,
-    packs and materialises *only the visited lanes*: one access consumes
-    4+ words, so the old one-entry-per-offset encoding boxed ~6x more
-    Python ints than the loop ever read — pure overcompute, and the
-    dominant refill cost (DESIGN §6).
-
-    The returned list is consumed sequentially via ``_VmStream.cursor``;
-    each entry packs:
-
-    =====  ========================================================
-    bits   meaning
-    =====  ========================================================
-    0-2    category: ``bisect_right(cumulative, random()*cum_total)``
-           clamped to ``_PRIVATE_HOT`` — computed as the sum of the
-           same eight IEEE ``>=`` compares the bisection performs
-    3      the access's *final* write flag: the base
-           ``random() < write_fraction`` draw, overridden by the
-           category's own fraction draw where the stepper overrides
-    4-27   the absolute word offset the *next* access starts at
-           (this access's start plus the words it consumes)
-    28-43  the accepted hot-pool draw of this entry's category
-    =====  ========================================================
-
-    The list terminates with ``-1``: the next access would read past
-    the buffer. The consumer refills, which re-bases it to offset 0 of
-    a longer buffer. Every float op matches CPython exactly:
-    ``(a*2**26 + b)`` with ``a < 2**27, b < 2**26`` is exact at each
-    step in both uint64 and float64, and all threshold/category
-    compares are the same IEEE operations the scalar code performs.
-    """
-    m = len(words) - 1
-    if m <= 0:
-        return [-1]
-    scratch = enc.scratch(m)
-    first = words[:m]
-    # value[i] = random() drawn at words i/i+1, built in uint64 (exact:
-    # (a*2**26 + b) < 2**53) and converted once.
-    acc = scratch["u64"]
-    _np.right_shift(first, 5, out=acc)
-    acc *= 67108864
-    low = scratch["u64b"]
-    _np.right_shift(words[1:], 6, out=low)
-    acc += low
-    value = scratch["f64"]
-    _np.multiply(acc, _INV_2_53, out=value)
-    scaled = scratch["f64b"]
-    _np.multiply(value, enc.cum_total, out=scaled)
-    thresholds = enc.cum_list
-    # bisect_right(c, x) counts entries <= x; x >= c is the exact IEEE
-    # complement of x < c (no NaNs here), so the sum reproduces it.
-    flag = scratch["bool"]
-    category = scratch["u8"]
-    _np.greater_equal(scaled, thresholds[0], out=flag)
-    category[:] = flag
-    for threshold in thresholds[1:]:
-        _np.greater_equal(scaled, threshold, out=flag)
-        category += flag
-    _np.minimum(category, 7, out=category)
-    idx = enc.idx(m)
-    _np.less(value, enc.write_fraction, out=flag)
-    is_write = _shifted(flag, 2, False, m, _np.bool_)
-    skip = scratch["i32"]
-    skip.fill(6)
-    if enc.private_walk:
-        _np.equal(category, 6, out=flag)
-        skip -= flag
-        skip -= flag
-    resolved = scratch["i32b"]
-    resolved.fill(0)
-    # Private-hot lanes are resolved whenever present — not gated on the
-    # profile's probability, because the bisection clamp can land on
-    # category 7 even at zero probability (float rounding can make
-    # value*cum_total == cum_total), exactly as the stepper's can.
-    _np.equal(category, 7, out=flag)
-    hot = flag.nonzero()[0].astype(_np.int32)
-    if hot.size:
-        accept_p, resolved_p = _pool(
-            first, idx, hot, m, enc.private_bits, enc.private_pool, scratch
-        )
-        skip[hot] += accept_p - hot - 5
-        resolved[hot] = resolved_p
-    if enc.shared_walk or enc.shared_hot:
-        shared_flag = scratch["boolb"]
-        _np.less(value, enc.shared_write_fraction, out=shared_flag)
-        if enc.shared_walk:
-            override = _shifted(shared_flag, 4, False, m, _np.bool_)
-            mask = category == 4
-            is_write = is_write ^ (mask & (override ^ is_write))
-        if enc.shared_hot:
-            _np.equal(category, 5, out=flag)
-            hot = flag.nonzero()[0].astype(_np.int32)
-            if hot.size:
-                accept_s, resolved_s = _pool(
-                    first, idx, hot, m, enc.shared_bits, enc.shared_pool, scratch
-                )
-                skip[hot] += accept_s - hot - 3
-                resolved[hot] = resolved_s
-                is_write[hot] = shared_flag.take(
-                    _np.minimum(accept_s + 1, m - 1)
-                )
-    if enc.content_walk or enc.content_hot:
-        content_flag = scratch["boolb"]
-        _np.less(value, enc.content_write_fraction, out=content_flag)
-        if enc.content_walk:
-            override = _shifted(content_flag, 4, False, m, _np.bool_)
-            mask = category == 0
-            is_write = is_write ^ (mask & (override ^ is_write))
-        if enc.content_hot:
-            _np.equal(category, 1, out=flag)
-            hot = flag.nonzero()[0].astype(_np.int32)
-            if hot.size:
-                accept_c, resolved_c = _pool(
-                    first, idx, hot, m, enc.content_bits, enc.content_pool, scratch
-                )
-                skip[hot] += accept_c - hot - 3
-                resolved[hot] = resolved_c
-                is_write[hot] = content_flag.take(
-                    _np.minimum(accept_c + 1, m - 1)
-                )
-    if enc.hyp_dom0:
-        hyp_flag = scratch["boolb"]
-        _np.less(value, _HYP_WRITE_FRACTION, out=hyp_flag)
-        override = _shifted(hyp_flag, 4, False, m, _np.bool_)
-        mask = (category == 2) | (category == 3)
-        is_write = is_write ^ (mask & (override ^ is_write))
-    # Pass two: walk the consumption chain. Every in-range lane steps
-    # at least 4 words forward, so the walk visits ~m/6 lanes and always
-    # terminates at the first lane that would read past the buffer —
-    # that final lane is the old "-1 invalid" case, covered by the
-    # terminator appended below. The memoryview gives boxed-int reads
-    # without materialising the whole array through tolist().
-    nxt = scratch["i32d"]
-    _np.add(idx, skip, out=nxt)
-    if m > _PTR_MASK:
-        raise RuntimeError(
-            f"word buffer of {m} words overflows the {_PTR_BITS}-bit "
-            f"pointer field (REPRO_KERNEL_BLOCK too large?)"
-        )
-    walk = nxt.data
-    visited = []
-    append = visited.append
-    position = 0
-    while position < m:
-        append(position)
-        position = walk[position]
-    visited.pop()  # the terminating lane reads past the buffer
-    if not visited:
-        return [-1]
-    consumed = _np.asarray(visited, dtype=_np.int32)
-    # Gather + pack at consumed size (int64: pointer field bits 4-27,
-    # resolved draw above _RES_SHIFT).
-    entries = category.take(consumed).astype(_np.int64)
-    write_bits = is_write.take(consumed).astype(_np.int64)
-    write_bits <<= 3
-    entries += write_bits
-    pointers = nxt.take(consumed).astype(_np.int64)
-    pointers <<= 4
-    entries += pointers
-    draws = resolved.take(consumed).astype(_np.int64)
-    draws <<= _RES_SHIFT
-    entries += draws
-    out = entries.tolist()
-    out.append(-1)
-    return out
-
-
-class _VmStream:
-    """Per-VM word-path state: the stream, its buffer, and the encode
-    parameters. One instance serves one VM for one phase."""
-
-    __slots__ = (
-        "stream",
-        "words",
-        "encoded",
-        "cursor",
-        "pointer",
-        "consumed",
-        "block_words",
-        "cum_list",
-        "cum_total",
-        "write_fraction",
-        "shared_write_fraction",
-        "content_write_fraction",
-        "private_bits",
-        "private_pool",
-        "shared_bits",
-        "shared_pool",
-        "content_bits",
-        "content_pool",
-        "private_walk",
-        "shared_walk",
-        "shared_hot",
-        "content_walk",
-        "content_hot",
-        "hyp_dom0",
-        "_idx_full",
-        "_scratch_full",
-    )
-
-    def __init__(self, workload: VmWorkload, block_words: int) -> None:
-        self.stream = WordStream(workload._rng)
-        cumulative = list(workload._cumulative)
-        self.cum_list = cumulative
-        self.cum_total = workload._cum_total
-        self.write_fraction = workload._write_fraction
-        self.shared_write_fraction = workload.shared_write_fraction
-        self.content_write_fraction = workload._content_write_fraction
-        self.private_bits = workload._private_hot_bits
-        self.private_pool = workload.private_hot_blocks
-        self.shared_bits = workload._shared_hot_bits
-        self.shared_pool = workload.shared_hot_blocks
-        self.content_bits = workload._content_hot_bits
-        self.content_pool = workload.content_hot_blocks
-        # Category presence: skip the encode passes of categories the
-        # cumulative table cannot select (empty probability intervals).
-        present = [
-            cumulative[c] > (cumulative[c - 1] if c else 0.0) for c in range(8)
-        ]
-        self.content_walk = present[0]
-        self.content_hot = present[1]
-        self.hyp_dom0 = present[2] or present[3]
-        self.shared_walk = present[4]
-        self.shared_hot = present[5]
-        self.private_walk = present[6]
-        self.block_words = block_words
-        self.words = _np.empty(0, dtype=_np.uint64)
-        self.encoded: list = [-1]  # forces a refill at the first access
-        self.cursor = 0  # next entry of `encoded` to consume
-        self.pointer = 0  # word offset the next access starts at
-        self.consumed = 0
-        self._idx_full = None
-        self._scratch_full = None
-
-    def idx(self, m: int):
-        """0..m-1 as int32: a prefix view of one capacity-sized arange.
-
-        Buffer lengths vary slightly per refill (the unconsumed tail is
-        carried over), so caching per exact length would accumulate an
-        array per refill; a single over-allocated arange serves every
-        length as a view.
-        """
-        cached = self._idx_full
-        if cached is None or len(cached) < m:
-            cached = self._idx_full = _np.arange(
-                max(m, self.block_words + 2048), dtype=_np.int32
-            )
-        return cached[:m]
-
-    def scratch(self, m: int) -> dict:
-        """Reusable length-``m`` work buffers for :func:`_encode`.
-
-        One capacity-sized allocation per dtype slot, sliced to ``m`` on
-        each call: the encode passes all write through ``out=`` into
-        these, which keeps the ~10 full-width temporaries an encode
-        would otherwise allocate (and their page-faulting churn) off
-        the refill path entirely.
-        """
-        full = self._scratch_full
-        if full is None or len(full["u64"]) < m:
-            cap = max(m, self.block_words + 2048)
-            full = self._scratch_full = {
-                "u64": _np.empty(cap, dtype=_np.uint64),
-                "u64b": _np.empty(cap, dtype=_np.uint64),
-                "f64": _np.empty(cap, dtype=_np.float64),
-                "f64b": _np.empty(cap, dtype=_np.float64),
-                "u8": _np.empty(cap, dtype=_np.uint8),
-                "i32": _np.empty(cap, dtype=_np.int32),
-                "i32b": _np.empty(cap, dtype=_np.int32),
-                "i32d": _np.empty(cap, dtype=_np.int32),
-                "bool": _np.empty(cap, dtype=_np.bool_),
-                "boolb": _np.empty(cap, dtype=_np.bool_),
-            }
-        return {name: buf[:m] for name, buf in full.items()}
-
-    def refill(self, pointer: int) -> int:
-        """Bank ``pointer`` consumed words, fetch a fresh block, rebuild
-        the packed entries; returns the new pointer (0)."""
-        self.consumed += pointer
-        tail = self.words[pointer:]
-        fresh = self.stream.raw(self.block_words)
-        self.words = _np.concatenate((tail, fresh)) if len(tail) else fresh
-        self.encoded = _encode(self.words, self)
-        self.cursor = 0
-        self.pointer = 0
-        return 0
-
-    def finish(self, pointer: int) -> None:
-        """Phase over: write the source RNG to the consumed position."""
-        self.stream.sync_back(self.consumed + pointer)
-
-
-def _word_eligible(workload) -> bool:
-    """Whether a workload can run on the packed word path.
-
-    Exact-type check, not isinstance: the packed encoding replays
-    ``VmWorkload.make_stepper``'s draw arithmetic literally, so any
-    subclass (or foreign workload such as ``PatternWorkload``) with
-    different generation logic must take the chunk/step paths instead —
-    an isinstance match would silently diverge.
-    """
-    if not HAVE_NUMPY or type(workload) is not VmWorkload:
-        return False
-    return max(
-        workload._private_hot_bits,
-        workload._shared_hot_bits,
-        workload._content_hot_bits,
-    ) <= _FIELD_BITS
 
 
 class BatchedEngine(SimulationEngine):
@@ -661,7 +198,6 @@ class BatchedEngine(SimulationEngine):
         transact = self._transact
         guest_initiator = Initiator.GUEST
         hyp_initiator = Initiator.HYPERVISOR
-        dom0_initiator = Initiator.DOM0
         untracked = UNTRACKED_VM
         ro_shared = PageType.RO_SHARED
         write_to_page = self._write_to_page
@@ -689,57 +225,20 @@ class BatchedEngine(SimulationEngine):
         l1_ways = any_hierarchy._l1_ways
         l1_latency = any_hierarchy.l1_latency
         l12_latency = l1_latency + any_hierarchy.l2_latency
-        private_vcpu_base = generator.PRIVATE_BASE
-        private_vcpu_stride = generator.PRIVATE_VCPU_STRIDE
-        shared_hot_base = generator.SHARED_HOT_BASE
-        content_hot_base = generator.CONTENT_HOT_BASE
 
-        # --- generation-path selection (per VM / per vCPU) -----------
-        block_words = _block_words()
-        vm_streams: dict = {}  # vm_id -> _VmStream (word path)
-        for vm_id, workload in workloads.items():
-            if _word_eligible(workload):
-                vm_streams[vm_id] = _VmStream(workload, block_words)
-        # slot[index]: the vCPU's _VmStream, or None (chunk/step path).
-        slots = [vm_streams.get(vm_id) for vm_id in vm_ids]
-        # Private-pool bases and cursors, per heap index (word path).
-        private_bases = []
-        private_cursors = []
-        shared_cursors = []
-        content_cursors = []
-        hyp_cursors = []
-        dom0_cursors = []
-        for position, v in enumerate(vcpus):
-            workload = workloads.get(v.vm_id)
-            if slots[position] is not None:
-                private_bases.append(
-                    private_vcpu_base + v.index * private_vcpu_stride
-                )
-                private_cursors.append(workload._private_streams[v.index])
-                shared_cursors.append(workload._shared_stream)
-                content_cursors.append(workload._content_stream)
-                hyp_cursors.append(workload._hyp_stream)
-                dom0_cursors.append(workload._dom0_stream)
-            else:
-                private_bases.append(0)
-                private_cursors.append(None)
-                shared_cursors.append(None)
-                content_cursors.append(None)
-                hyp_cursors.append(None)
-                dom0_cursors.append(None)
+        # --- generation-path selection (per vCPU) -------------------
         # Chunk path: workloads that materialise runs exactly — natively
         # via stream_chunk, or through the shim when the workload only
         # exposes next_access but declares interleaving independence.
+        # Every other vCPU takes the step path: its stepper closure.
         chunk_fns = []
         chunk_buffers = []
         chunk_positions = []
-        for position, v in enumerate(vcpus):
+        for v in vcpus:
             workload = workloads.get(v.vm_id)
             fn = None
-            if (
-                slots[position] is None
-                and workload is not None
-                and getattr(workload, "stream_chunk_independent", False)
+            if workload is not None and getattr(
+                workload, "stream_chunk_independent", False
             ):
                 fn = getattr(workload, "stream_chunk", None)
                 if fn is None:
@@ -1064,232 +563,115 @@ class BatchedEngine(SimulationEngine):
                 )
 
         local_time = self.now
-        try:
-            if heap:
-                item = heappop(heap)
+        if heap:
+            item = heappop(heap)
+        else:
+            item = None
+        while item is not None:
+            local_time, _, index, count = item
+            if local_time >= boundary:
+                if local_time >= next_sample:
+                    self.now = local_time
+                    next_sample = metrics.sample(local_time)
+                if migrate and local_time >= next_migration:
+                    self.now = local_time
+                    self._maybe_migrate()
+                    next_migration = self._next_migration
+                    cores = [v.core for v in vcpus]
+                boundary = (
+                    next_sample
+                    if next_sample < next_migration
+                    else next_migration
+                )
+            # ---- generation --------------------------------------
+            buffer = chunk_buffers[index]
+            if buffer is not None:
+                position = chunk_positions[index]
+                if position >= len(buffer):
+                    # Clamp once, up front: to the remaining phase budget
+                    # (so the workload's positions end the phase exactly
+                    # where the reference loop leaves them) and to the
+                    # next migration/metrics deadline — this vCPU cannot
+                    # consume more than `cap` accesses before the
+                    # boundary branch re-runs, so a longer refill is pure
+                    # lookahead. The n<1 floor covers the budget-0 edge
+                    # where the reference still generates one access.
+                    n = _CHUNK_ACCESSES if count > _CHUNK_ACCESSES else count
+                    if boundary < infinity:
+                        cap = (boundary - local_time) // min_step + 1
+                        if cap < n:
+                            n = int(cap)
+                    if n < 1:
+                        n = 1
+                    buffer = chunk_fns[index](vcpu_indices[index], n)
+                    if not buffer:
+                        raise StopIteration(
+                            f"vCPU {vcpu_indices[index]} trace exhausted"
+                        )
+                    chunk_buffers[index] = buffer
+                    position = 0
+                initiator, guest_page, block_index, is_write = buffer[position]
+                chunk_positions[index] = position + 1
             else:
-                item = None
-            while item is not None:
-                local_time, _, index, count = item
-                if local_time >= boundary:
-                    if local_time >= next_sample:
+                initiator, guest_page, block_index, is_write = steppers[index]()
+            # ---- translation (reference order, call-free memo) ---
+            vm_id = vm_ids[index]
+            if initiator is guest_initiator:
+                vm_tag = vm_id
+                vm_memo = vm_memos[index]
+                if guest_page in vm_memo:
+                    host_page, page_type = vm_memo[guest_page]
+                    if is_write and page_type is ro_shared:
                         self.now = local_time
-                        next_sample = metrics.sample(local_time)
-                    if migrate and local_time >= next_migration:
-                        self.now = local_time
-                        self._maybe_migrate()
-                        next_migration = self._next_migration
-                        cores = [v.core for v in vcpus]
-                    boundary = (
-                        next_sample
-                        if next_sample < next_migration
-                        else next_migration
-                    )
-                # ---- generation --------------------------------------
-                vm_stream = slots[index]
-                if vm_stream is not None:
-                    entry_at = vm_stream.cursor
-                    word = vm_stream.encoded[entry_at]
-                    if word < 0:
-                        # Chain cut by the buffer edge: refill re-bases
-                        # the access to offset 0 of a longer buffer (and
-                        # keeps growing it for pathological chains).
-                        while True:
-                            vm_stream.refill(vm_stream.pointer)
-                            word = vm_stream.encoded[0]
-                            if word >= 0:
-                                break
-                        entry_at = 0
-                    vm_stream.cursor = entry_at + 1
-                    vm_stream.pointer = (word >> 4) & 16777215
-                    category = word & 7
-                    initiator = guest_initiator
-                    if category == 7:  # private hot
-                        draw = word >> 28
-                        is_write = (word & 8) != 0
-                        guest_page = private_bases[index] + (draw >> 6)
-                        block_index = draw & 63
-                    elif category == 6:  # private stream
-                        is_write = (word & 8) != 0
-                        cursor = private_cursors[index]
-                        guest_page = cursor.base + cursor.page
-                        block_index = cursor.block
-                        nxt = block_index + 1
-                        if nxt == 64:
-                            cursor.block = 0
-                            cursor.page = (cursor.page + 1) % cursor.pages
-                        else:
-                            cursor.block = nxt
-                    elif category == 5:  # shared hot
-                        draw = word >> 28
-                        is_write = (word & 8) != 0
-                        guest_page = shared_hot_base + (draw >> 6)
-                        block_index = draw & 63
-                    elif category == 4:  # shared stream
-                        is_write = (word & 8) != 0
-                        cursor = shared_cursors[index]
-                        guest_page = cursor.base + cursor.page
-                        block_index = cursor.block
-                        nxt = block_index + 1
-                        if nxt == 64:
-                            cursor.block = 0
-                            cursor.page = (cursor.page + 1) % cursor.pages
-                        else:
-                            cursor.block = nxt
-                    elif category == 0:  # content stream
-                        is_write = (word & 8) != 0
-                        cursor = content_cursors[index]
-                        guest_page = cursor.base + cursor.page
-                        block_index = cursor.block
-                        nxt = block_index + 1
-                        if nxt == 64:
-                            cursor.block = 0
-                            cursor.page = (cursor.page + 1) % cursor.pages
-                        else:
-                            cursor.block = nxt
-                    elif category == 1:  # content hot
-                        draw = word >> 28
-                        is_write = (word & 8) != 0
-                        guest_page = content_hot_base + (draw >> 6)
-                        block_index = draw & 63
-                    elif category == 2:  # hypervisor
-                        is_write = (word & 8) != 0
-                        cursor = hyp_cursors[index]
-                        guest_page = cursor.base + cursor.page
-                        block_index = cursor.block
-                        nxt = block_index + 1
-                        if nxt == 64:
-                            cursor.block = 0
-                            cursor.page = (cursor.page + 1) % cursor.pages
-                        else:
-                            cursor.block = nxt
-                        initiator = hyp_initiator
-                    else:  # dom0
-                        is_write = (word & 8) != 0
-                        cursor = dom0_cursors[index]
-                        guest_page = cursor.base + cursor.page
-                        block_index = cursor.block
-                        nxt = block_index + 1
-                        if nxt == 64:
-                            cursor.block = 0
-                            cursor.page = (cursor.page + 1) % cursor.pages
-                        else:
-                            cursor.block = nxt
-                        initiator = dom0_initiator
+                        host_page, page_type = write_to_page(
+                            vm_id, guest_page
+                        )
                 else:
-                    buffer = chunk_buffers[index]
-                    if buffer is not None:
-                        position = chunk_positions[index]
-                        if position >= len(buffer):
-                            # Clamp once, up front: to the remaining
-                            # phase budget (so the workload's positions
-                            # end the phase exactly where the reference
-                            # loop leaves them) and to the next
-                            # migration/metrics deadline — this vCPU
-                            # cannot consume more than `cap` accesses
-                            # before the boundary branch re-runs, so a
-                            # longer refill is pure lookahead. The n<1
-                            # floor covers the budget-0 edge where the
-                            # reference still generates one access.
-                            n = (
-                                _CHUNK_ACCESSES
-                                if count > _CHUNK_ACCESSES
-                                else count
-                            )
-                            if boundary < infinity:
-                                cap = (boundary - local_time) // min_step + 1
-                                if cap < n:
-                                    n = int(cap)
-                            if n < 1:
-                                n = 1
-                            buffer = chunk_fns[index](
-                                vcpu_indices[index], n
-                            )
-                            if not buffer:
-                                raise StopIteration(
-                                    f"vCPU {vcpu_indices[index]} trace exhausted"
-                                )
-                            chunk_buffers[index] = buffer
-                            position = 0
-                        initiator, guest_page, block_index, is_write = buffer[
-                            position
-                        ]
-                        chunk_positions[index] = position + 1
-                    else:
-                        (
-                            initiator,
-                            guest_page,
-                            block_index,
-                            is_write,
-                        ) = steppers[index]()
-                # ---- translation (reference order, call-free memo) ---
-                vm_id = vm_ids[index]
-                if initiator is guest_initiator:
-                    vm_tag = vm_id
-                    vm_memo = vm_memos[index]
-                    if guest_page in vm_memo:
-                        host_page, page_type = vm_memo[guest_page]
-                        if is_write and page_type is ro_shared:
-                            self.now = local_time
-                            host_page, page_type = write_to_page(
-                                vm_id, guest_page
-                            )
-                    else:
-                        self.now = local_time
-                        if is_write:
-                            entry = write_to_page(vm_id, guest_page)
-                        else:
-                            entry = mem_translate(vm_id, guest_page)
-                        vm_memo[guest_page] = entry
-                        host_page, page_type = entry
-                else:
-                    vm_tag = untracked
-                    if initiator is hyp_initiator:
-                        if guest_page in hyp_memo:
-                            host_page, page_type = hyp_memo[guest_page]
-                        else:
-                            self.now = local_time
-                            host_page, page_type = rw_shared_translate(
-                                HYPERVISOR_SPACE, guest_page
-                            )
-                    else:
-                        if guest_page in dom0_memo:
-                            host_page, page_type = dom0_memo[guest_page]
-                        else:
-                            self.now = local_time
-                            host_page, page_type = rw_shared_translate(
-                                DOM0_VM_ID, guest_page
-                            )
-                block = (host_page << page_shift) | block_index
-                core = cores[index]
-
-                l1_by_page_type[page_type] += 1
-
-                # ---- cache probe (reference order, call-free LRU) ----
-                l1_set = l1_sets_by_core[core][block & l1_mask]
-                if block in l1_set:
-                    l1_line = l1_set[block]
-                    del l1_set[block]
-                    l1_set[block] = l1_line
-                    hierarchies[core].l1_hits += 1
-                    latency = l1_latency
+                    self.now = local_time
                     if is_write:
-                        l1_line.dirty = True
-                        l2_sets_by_core[core][block & l2_mask][block].dirty = True
-                        if block in reg_blocks:
-                            state = reg_blocks[block]
-                            if state.owner == core and state.sharers == {core}:
-                                state.dirty = True
-                            else:
-                                if bulk is not None:
-                                    bail["store-upgrade"] = (
-                                        bail.get("store-upgrade", 0) + 1
-                                    )
-                                self.now = local_time
-                                latency += transact(
-                                    core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, hierarchies[core], True,
-                                )
+                        entry = write_to_page(vm_id, guest_page)
+                    else:
+                        entry = mem_translate(vm_id, guest_page)
+                    vm_memo[guest_page] = entry
+                    host_page, page_type = entry
+            else:
+                vm_tag = untracked
+                if initiator is hyp_initiator:
+                    if guest_page in hyp_memo:
+                        host_page, page_type = hyp_memo[guest_page]
+                    else:
+                        self.now = local_time
+                        host_page, page_type = rw_shared_translate(
+                            HYPERVISOR_SPACE, guest_page
+                        )
+                else:
+                    if guest_page in dom0_memo:
+                        host_page, page_type = dom0_memo[guest_page]
+                    else:
+                        self.now = local_time
+                        host_page, page_type = rw_shared_translate(
+                            DOM0_VM_ID, guest_page
+                        )
+            block = (host_page << page_shift) | block_index
+            core = cores[index]
+
+            l1_by_page_type[page_type] += 1
+
+            # ---- cache probe (reference order, call-free LRU) ----
+            l1_set = l1_sets_by_core[core][block & l1_mask]
+            if block in l1_set:
+                l1_line = l1_set[block]
+                del l1_set[block]
+                l1_set[block] = l1_line
+                hierarchies[core].l1_hits += 1
+                latency = l1_latency
+                if is_write:
+                    l1_line.dirty = True
+                    l2_sets_by_core[core][block & l2_mask][block].dirty = True
+                    if block in reg_blocks:
+                        state = reg_blocks[block]
+                        if state.owner == core and state.sharers == {core}:
+                            state.dirty = True
                         else:
                             if bulk is not None:
                                 bail["store-upgrade"] = (
@@ -1300,38 +682,38 @@ class BatchedEngine(SimulationEngine):
                                 core, vm_id, block, True, page_type,
                                 initiator, vm_tag, hierarchies[core], True,
                             )
-                else:
-                    l2_set = l2_sets_by_core[core][block & l2_mask]
-                    if block in l2_set:
-                        l2_line = l2_set[block]
-                        del l2_set[block]
-                        l2_set[block] = l2_line
-                        hierarchy = hierarchies[core]
-                        hierarchy.l2_hits += 1
-                        if is_write:
-                            l2_line.dirty = True
-                        if len(l1_set) >= l1_ways:
-                            del l1_set[next(iter(l1_set))]
-                        l1_set[block] = CacheLine(block, vm_tag, is_write)
-                        latency = l12_latency
-                        if is_write:
-                            if block in reg_blocks:
-                                state = reg_blocks[block]
-                                if (
-                                    state.owner == core
-                                    and state.sharers == {core}
-                                ):
-                                    state.dirty = True
-                                else:
-                                    if bulk is not None:
-                                        bail["store-upgrade"] = (
-                                            bail.get("store-upgrade", 0) + 1
-                                        )
-                                    self.now = local_time
-                                    latency += transact(
-                                        core, vm_id, block, True, page_type,
-                                        initiator, vm_tag, hierarchy, True,
-                                    )
+                    else:
+                        if bulk is not None:
+                            bail["store-upgrade"] = (
+                                bail.get("store-upgrade", 0) + 1
+                            )
+                        self.now = local_time
+                        latency += transact(
+                            core, vm_id, block, True, page_type,
+                            initiator, vm_tag, hierarchies[core], True,
+                        )
+            else:
+                l2_set = l2_sets_by_core[core][block & l2_mask]
+                if block in l2_set:
+                    l2_line = l2_set[block]
+                    del l2_set[block]
+                    l2_set[block] = l2_line
+                    hierarchy = hierarchies[core]
+                    hierarchy.l2_hits += 1
+                    if is_write:
+                        l2_line.dirty = True
+                    if len(l1_set) >= l1_ways:
+                        del l1_set[next(iter(l1_set))]
+                    l1_set[block] = CacheLine(block, vm_tag, is_write)
+                    latency = l12_latency
+                    if is_write:
+                        if block in reg_blocks:
+                            state = reg_blocks[block]
+                            if (
+                                state.owner == core
+                                and state.sharers == {core}
+                            ):
+                                state.dirty = True
                             else:
                                 if bulk is not None:
                                     bail["store-upgrade"] = (
@@ -1342,49 +724,54 @@ class BatchedEngine(SimulationEngine):
                                     core, vm_id, block, True, page_type,
                                     initiator, vm_tag, hierarchy, True,
                                 )
-                    else:
-                        hierarchy = hierarchies[core]
-                        hierarchy.misses += 1
-                        self.now = local_time
-                        if bulk is not None:
-                            extra = bulk(
-                                core, vm_id, block, is_write, page_type,
-                                initiator, vm_tag, l1_set, l2_set,
-                                local_time,
-                            )
-                            if extra < 0:
-                                extra = transact(
-                                    core, vm_id, block, is_write, page_type,
-                                    initiator, vm_tag, hierarchy, False,
-                                )
-                            latency = l12_latency + extra
                         else:
-                            latency = l12_latency + transact(
+                            if bulk is not None:
+                                bail["store-upgrade"] = (
+                                    bail.get("store-upgrade", 0) + 1
+                                )
+                            self.now = local_time
+                            latency += transact(
+                                core, vm_id, block, True, page_type,
+                                initiator, vm_tag, hierarchy, True,
+                            )
+                else:
+                    hierarchy = hierarchies[core]
+                    hierarchy.misses += 1
+                    self.now = local_time
+                    if bulk is not None:
+                        extra = bulk(
+                            core, vm_id, block, is_write, page_type,
+                            initiator, vm_tag, l1_set, l2_set,
+                            local_time,
+                        )
+                        if extra < 0:
+                            extra = transact(
                                 core, vm_id, block, is_write, page_type,
                                 initiator, vm_tag, hierarchy, False,
                             )
-
-                # ---- schedule (provably the reference pop order) -----
-                next_time = local_time + think + latency
-                count -= 1
-                if count > 0:
-                    sequence += 1
-                    # push-then-pop == (pop current min, insert new) ==
-                    # (new itself when it is <= the heap minimum). Keys
-                    # are unique, so `<` fully orders them.
-                    fresh = (next_time, sequence, index, count)
-                    if heap and heap[0] < fresh:
-                        item = heapreplace(heap, fresh)
+                        latency = l12_latency + extra
                     else:
-                        item = fresh
+                        latency = l12_latency + transact(
+                            core, vm_id, block, is_write, page_type,
+                            initiator, vm_tag, hierarchy, False,
+                        )
+
+            # ---- schedule (provably the reference pop order) -----
+            next_time = local_time + think + latency
+            count -= 1
+            if count > 0:
+                sequence += 1
+                # push-then-pop == (pop current min, insert new) ==
+                # (new itself when it is <= the heap minimum). Keys
+                # are unique, so `<` fully orders them.
+                fresh = (next_time, sequence, index, count)
+                if heap and heap[0] < fresh:
+                    item = heapreplace(heap, fresh)
                 else:
-                    final[index] = next_time
-                    item = heappop(heap) if heap else None
-        finally:
-            # Settle every word stream back into its Random — also on a
-            # StopIteration/bail so callers observe a live generator.
-            for vm_stream in vm_streams.values():
-                vm_stream.finish(vm_stream.pointer)
+                    item = fresh
+            else:
+                final[index] = next_time
+                item = heappop(heap) if heap else None
         self.now = local_time
         stats.l1_accesses += budget * len(vcpus)
         self._next_sample = next_sample

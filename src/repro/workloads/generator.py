@@ -442,9 +442,9 @@ class VmWorkload:
         content / hyp / dom0 cursors), so materialising one vCPU's run
         ahead of time reorders draws against its siblings — chunking is
         only interleaving-exact when the VM has a single vCPU. The
-        batched kernel replays multi-vCPU VMs through a
-        :class:`~repro.sim.mtstream.WordStream` instead, which preserves
-        the engine's exact draw interleaving."""
+        batched kernel generates multi-vCPU VMs one access at a time
+        through their steppers instead, which preserves the engine's
+        exact draw interleaving."""
         return self.num_vcpus == 1
 
     def stream_chunk(self, vcpu_index: int, count: int) -> List[tuple]:

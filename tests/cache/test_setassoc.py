@@ -143,9 +143,9 @@ class TestPackedMirror:
             cache.insert(block, vm_id=7)
         cache.lookup(1)  # 1 becomes most recent: LRU order 2, 3, 1
         tags, vm_ids, dirty = cache.packed()
-        assert [int(t) for t in tags] == [2, 3, 1, -1]
-        assert [int(v) for v in vm_ids] == [7, 7, 7, -1]
-        assert [bool(d) for d in dirty] == [False, False, False, False]
+        assert tags == [2, 3, 1, -1]
+        assert vm_ids == [7, 7, 7, -1]
+        assert dirty == [False, False, False, False]
 
     def test_packed_tracks_dirty_and_eviction(self):
         cache = SetAssociativeCache(num_sets=1, ways=2)
@@ -153,18 +153,18 @@ class TestPackedMirror:
         cache.insert(20, vm_id=2)
         cache.insert(30, vm_id=3)  # evicts 10 (LRU)
         tags, vm_ids, dirty = cache.packed()
-        assert [int(t) for t in tags] == [20, 30]
-        assert [bool(d) for d in dirty] == [False, False]
+        assert tags == [20, 30]
+        assert dirty == [False, False]
         cache.mark_dirty(20)
         _tags, _vm_ids, dirty = cache.packed()
-        assert [bool(d) for d in dirty] == [True, False]
+        assert dirty == [True, False]
 
     def test_packed_set_major_layout(self):
         cache = SetAssociativeCache(num_sets=2, ways=2)
         cache.insert(4, vm_id=0)  # set 0
         cache.insert(5, vm_id=0)  # set 1
         tags, _vm_ids, _dirty = cache.packed()
-        assert [int(t) for t in tags] == [4, -1, 5, -1]
+        assert tags == [4, -1, 5, -1]
 
     def test_validate_packed_accepts_heavy_churn(self):
         cache = SetAssociativeCache(num_sets=4, ways=2)

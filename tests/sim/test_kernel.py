@@ -5,8 +5,8 @@ run's ``SimStats.to_dict()`` is *equal* — not statistically close — to
 the reference engine's on the identical configuration. The boundary
 cases target exactly the places a chunked kernel can silently diverge:
 migration windows and metrics samples landing inside a chunk, COW
-writes and shared-line evictions bailing out mid-chunk, refills landing
-on access boundaries (``REPRO_KERNEL_BLOCK=32``), chunk size 1 via a
+writes and shared-line evictions bailing out mid-chunk, multi-vCPU VMs
+generating through their steppers on the step path, chunk size 1 via a
 single-access budget, and trace-replay exhaustion mid-phase.
 """
 
@@ -137,13 +137,39 @@ class TestDifferential:
         )
 
 
-class TestRefillEdges:
-    def test_tiny_word_blocks(self, monkeypatch):
-        # 32-word refills land mid-access constantly; validation walks
-        # the packed cache mirror at every phase end.
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "32")
+def assert_identical_on_step_path(config: SimConfig, app: str = "fft") -> None:
+    """``assert_identical`` plus proof that the batched run generated
+    every access through the vCPU steppers (the step path), not the
+    chunk path."""
+    reference = run_stats(replace(config, kernel="reference"), app)
+    system = build_system(replace(config, kernel="batched"), PROFILES[app])
+    engine = engine_for(system)
+    assert isinstance(engine, BatchedEngine)
+    calls = [0]
+
+    def counted(step):
+        def wrapper():
+            calls[0] += 1
+            return step()
+
+        return wrapper
+
+    engine._steppers = [counted(step) for step in engine._steppers]
+    engine.run()
+    vcpus = config.num_vms * config.vcpus_per_vm
+    budget = config.accesses_per_vcpu + config.warmup_accesses_per_vcpu
+    assert calls[0] == vcpus * budget
+    assert json.dumps(system.stats.to_dict(), sort_keys=True) == reference
+
+
+class TestStepPath:
+    def test_multi_vcpu_vms_with_migrations_and_hypervisor(self, monkeypatch):
+        # Multi-vCPU VmWorkload VMs share one RNG across their vCPUs, so
+        # they generate per access; migration windows land between
+        # stepper calls, and validation walks the packed cache mirror
+        # at every phase end.
         monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
-        assert_identical(
+        assert_identical_on_step_path(
             replace(
                 BASE,
                 migration_period_ms=0.3,

@@ -4,8 +4,8 @@ The seam applies eligible same-VM private misses inline in the batched
 kernel instead of descending through ``_transact``. Everything here
 pins its hard edges: migration windows and metrics samples landing in
 the middle of a bulk run, dirty/shared victims forcing mid-run
-bail-outs, deadline-clamped refills under a tiny ``REPRO_KERNEL_BLOCK``,
-sanitized runs disabling the seam entirely, and the bail-out histogram
+bail-outs, migration and metrics deadlines between step-path accesses,
+deadline-clamped chunk refills, sanitized runs disabling the seam entirely, and the bail-out histogram
 that records why misses stayed on the reference path. All differential
 assertions are byte-equality of ``SimStats.to_dict()`` — the seam's
 contract is exactness, not approximation.
@@ -25,6 +25,7 @@ from repro.sim.config import SimConfig
 from repro.sim.kernel import BatchedEngine, engine_for
 from repro.sim.system import build_system
 from repro.workloads.profiles import PROFILES
+from tests.sim.test_kernel import assert_identical_on_step_path
 
 # Small caches + a read-heavy zipfian suite: most accesses miss and most
 # misses are seam-eligible (clean VM-local victims), so every downstream
@@ -105,13 +106,13 @@ class TestBulkDifferential:
             )
         )
 
-    def test_deadline_clamped_word_refills(self, monkeypatch):
-        # Tiny word blocks force constant refills while migration and
-        # metrics deadlines clamp the chunk boundaries; packed-mirror
-        # validation runs at every phase end.
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "32")
+    def test_deadlines_between_step_path_accesses(self, monkeypatch):
+        # Multi-vCPU VMs on the step path: migration and metrics
+        # deadlines land between stepper accesses while small caches
+        # keep the seam busy; packed-mirror validation runs at every
+        # phase end.
         monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
-        assert_identical(
+        assert_identical_on_step_path(
             SimConfig(
                 num_cores=4,
                 mesh_width=2,

@@ -76,6 +76,12 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "us/access" in out
+        assert (
+            "kernel comparison (measured phase, unprofiled CPU time, "
+            "median of 3 interleaved):"
+        ) in out
+        assert "profiled):" not in out
+        assert "numpy" not in out
 
     def test_profile_zero_accesses_prints_na(self, capsys):
         code = main([
