@@ -3,18 +3,19 @@
 Not a paper figure. The miss-heavy benchmark cell — a 16 KiB L2 / 4 KiB
 L1 under the read-heavy ``web-farm`` zipfian suite — is where the
 batched kernel's bulk-miss seam earns its keep: nearly every access
-misses, nearly every miss is a same-VM private miss with a clean
-VM-local victim, so the seam applies the vast majority of coherence
-transactions inline. The write-heavy ``backup-window`` counterpart is
-reported alongside as the honest contrast: its ~95%-store backup VMs
-keep L2 victims dirty, which by design stays on the reference transact
-path.
+misses and nearly every miss is a same-VM private miss, so the seam
+applies the vast majority of coherence transactions inline. The
+write-heavy ``backup-window`` counterpart runs alongside: its ~95%-store
+backup VMs keep L2 victims dirty, and the seam writes them back inline
+too, so the only misses left on the reference transact path are
+contended GETMs and GETS retries.
 
 The kernel differential suite (``tests/sim/test_kernel.py``,
 ``tests/sim/test_kernel_bulk.py``) owns the correctness claim; this
 file owns the performance claim: the batched kernel's measured phase
-must not be slower than the reference loop's on the miss-heavy cell,
-and at least half of the seam-visible transactions must commit inline.
+must not be slower than the reference loop's on either cell, at least
+half of the miss-heavy cell's seam-visible transactions must commit
+inline, and at least 90% of the write-heavy cell's.
 """
 
 import os
@@ -96,15 +97,22 @@ def test_missheavy_bulk_seam(benchmark):
     assert bulk / (bulk + bailed) >= 0.5, summary
 
     # Wall-time floor: batched must not lose to the reference loop on
-    # the cell it was built for. The margin absorbs CI timer jitter;
-    # the measured gap is ~1.6x.
-    reference_s, _ = results[("web-farm", "reference")]
-    batched_s, _ = results[("web-farm", "batched")]
-    assert batched_s <= reference_s * 1.05, (
-        f"batched {batched_s:.2f}s vs reference {reference_s:.2f}s"
-    )
+    # either cell. The margin absorbs CI timer jitter; the measured
+    # gap is ~1.6x on both.
+    for suite in ("web-farm", "backup-window"):
+        reference_s, _ = results[(suite, "reference")]
+        batched_s, _ = results[(suite, "batched")]
+        assert batched_s <= reference_s * 1.05, (
+            f"{suite}: batched {batched_s:.2f}s vs "
+            f"reference {reference_s:.2f}s"
+        )
 
-    # The write-heavy contrast keeps dirty victims on the reference
-    # path — the histogram must say so.
+    # The write-heavy cell commits its dirty victims inline: no victim
+    # ever sends a miss back to the reference path.
     _, backup_summary = results[("backup-window", "batched")]
-    assert backup_summary["bailouts"].get("victim-dirty", 0) > 0
+    bulk = backup_summary["bulk_transacts"]
+    bailed = sum(backup_summary["bailouts"].values())
+    assert bulk / (bulk + bailed) >= 0.9, backup_summary
+    assert not any(
+        reason.startswith("victim-") for reason in backup_summary["bailouts"]
+    ), backup_summary

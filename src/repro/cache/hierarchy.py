@@ -137,9 +137,7 @@ class PrivateHierarchy:
     def fill_victim(self, block: int) -> Optional[CacheLine]:
         """The L2 line :meth:`fill` of ``block`` would evict, or ``None``.
 
-        Pure prediction (no state change) — the canonical, readable
-        version of the victim peek the batched kernel's bulk-miss seam
-        performs to prove a fill is legal before committing it.
+        Pure prediction (no state change).
         """
         return self.l2.peek_victim(block)
 

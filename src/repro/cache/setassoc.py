@@ -157,9 +157,7 @@ class SetAssociativeCache:
         """The line :meth:`insert` of ``block`` would evict, or ``None``.
 
         Pure prediction: no LRU touch, no observer events, no state
-        change. The batched kernel's bulk-miss seam uses this to prove a
-        fill's replacement victim is legal (same-VM and clean) before
-        committing to the fast path.
+        change.
         """
         cache_set = self._sets[block & self._set_mask]
         if block in cache_set or len(cache_set) < self.ways:

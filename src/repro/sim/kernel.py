@@ -36,14 +36,15 @@ reference machinery (``self._transact``, ``self._maybe_migrate``,
 an unchanged event stream. One exception, and only when no observer is
 attached: the *bulk-miss seam* applies a same-VM private miss inline
 when its first transient attempt provably succeeds against current
-registry state and its replacement victim is clean and VM-local — the
-seam replays the reference path's counter updates and state mutations
-in their exact order, and everything else (shared/content pages,
-contended blocks, dirty or cross-VM victims, retry ladders) still bails
-to ``_transact``. A per-reason bail-out histogram
-(``BatchedEngine.bail_reasons``) records why misses stayed on the
-reference path; it lives on the engine, never on ``SimStats``, which
-stays byte-identical across kernels by contract.
+registry state. Any L2 victim is legal — the seam writes dirty ones
+back, returns tokens, drops provider designations and decrements the
+victim's own VM's residence counter (firing ``on_low`` for it), all in
+the reference path's exact order. Shared/content pages still bail to
+``_transact``; contended GETMs and GETS retries go to
+``_apply_transact`` with the plan the seam already holds. A per-reason
+bail-out histogram (``BatchedEngine.bail_reasons``) records why misses
+stayed on the reference path; it lives on the engine, never on
+``SimStats``, which stays byte-identical across kernels by contract.
 
 Stats-ordering invariant: the loop updates every counter in exactly the
 order the reference loop does; the only rewrites are call-free
@@ -259,13 +260,14 @@ class BatchedEngine(SimulationEngine):
         # Applies an eligible same-VM private miss inline instead of
         # descending through _transact -> execute -> _try_* -> fill. A
         # miss is eligible only when its entire outcome is decided by
-        # the first transient attempt and its replacement victim is
-        # clean and VM-local; the seam then performs the reference
-        # path's counter updates and state mutations in their exact
-        # order (it calls the same network/memory/registry-eviction
-        # primitives, so window rollovers and traffic charges land
-        # identically). Anything else returns -1 and the caller falls
-        # back to the reference _transact. Gated off whenever an
+        # the first transient attempt (its L2 victim never matters);
+        # the seam then performs the reference path's counter updates
+        # and state mutations in their exact order (it calls the same
+        # network/memory/registry-eviction primitives, so window
+        # rollovers and traffic charges land identically). A non-private
+        # page returns -1 and the caller falls back to the reference
+        # _transact; a contended or retrying miss goes through
+        # _apply_transact with the seam's plan. Gated off whenever an
         # observer (sanitizer, tracer, outcome observer) is attached:
         # those are wired through the seams the bulk path skips.
         bulk = None
@@ -300,6 +302,7 @@ class BatchedEngine(SimulationEngine):
             mem_node = memory.node
             mem_latency = memory.latency
             plan_fn = self._plan
+            apply_transact = self._apply_transact
             vm_private = PageType.VM_PRIVATE
             memory_holder = MEMORY
             block_state = BlockState
@@ -307,9 +310,8 @@ class BatchedEngine(SimulationEngine):
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
             l2_observers = [h._l2_observer for h in hierarchies]
-            # Residence trackers inline too (the victim is VM-local and
-            # tracked by eligibility); any other observer shape falls
-            # back to the generic on_evict/on_insert calls.
+            # Residence trackers inline too; any other observer shape
+            # falls back to the generic on_evict/on_insert calls.
             res_counts = []
             res_on_low = []
             res_thresholds = []
@@ -340,43 +342,35 @@ class BatchedEngine(SimulationEngine):
                 cycle,
             ):
                 # ---- eligibility (pure: no counters, no mutation) ----
-                # Check order is cheapest-first: the victim peek is two
-                # dict ops while the plan/registry checks cost a call
-                # each, and dirty victims dominate the bail mix on
-                # write-heavy cells.
+                # Any L2 victim is legal: only the page type and the
+                # missed block's registry state can send a miss back.
                 if page_type is not vm_private:
                     bail["page-type"] = bail.get("page-type", 0) + 1
                     return -1
-                victim = None
-                if len(l2_set) >= l2_ways:
-                    victim = next(iter(l2_set.values()))
-                    if victim.dirty:
-                        bail["victim-dirty"] = bail.get("victim-dirty", 0) + 1
-                        return -1
-                    if victim.vm_id != vm_id:
-                        bail["victim-cross-vm"] = (
-                            bail.get("victim-cross-vm", 0) + 1
-                        )
-                        return -1
                 plan = plan_fn(core, vm_id, page_type, block)
                 destinations = plan.attempts[0]
                 state = reg_blocks.get(block)
                 if is_write:
                     # GETM succeeds on attempt 0 with no invalidations
                     # only when no core holds any token.
-                    if state is not None and (
-                        state.sharers or state.owner != memory_holder
-                    ):
-                        bail["getm-contended"] = (
-                            bail.get("getm-contended", 0) + 1
-                        )
-                        return -1
                     owner = memory_holder
+                    reason = "getm-contended"
+                    slow = state is not None and (
+                        state.sharers or state.owner != memory_holder
+                    )
                 else:
                     owner = state.owner if state is not None else memory_holder
-                    if owner != memory_holder and owner not in destinations:
-                        bail["gets-retry"] = bail.get("gets-retry", 0) + 1
-                        return -1
+                    reason = "gets-retry"
+                    slow = owner != memory_holder and owner not in destinations
+                if slow:
+                    # The plan is in hand (pure and memoised): apply it
+                    # rather than letting _transact plan again.
+                    bail[reason] = bail.get(reason, 0) + 1
+                    tx_by_initiator[initiator] += 1
+                    return apply_transact(
+                        core, vm_id, block, is_write, plan, vm_tag,
+                        hierarchies[core], False,
+                    )
                 # ---- commit: the reference path's effects, in its
                 # exact order (_transact -> execute -> _try_* ->
                 # _apply_transact's fill -> handle_eviction). One window
@@ -483,24 +477,28 @@ class BatchedEngine(SimulationEngine):
                 # exactly for GETM, where is_write is True already) ----
                 counts = res_counts[core]
                 observer = l2_observers[core]
-                if victim is not None:
+                victim = None
+                if len(l2_set) >= l2_ways:
+                    victim = l2_set.pop(next(iter(l2_set)))
                     victim_block = victim.block
-                    del l2_set[victim_block]
                     if counts is not None:
-                        # Inlined ResidenceTracker.on_evict: the victim
-                        # is VM-local and tracked by eligibility.
-                        current = counts.get(vm_id, 0) - 1
-                        if current < 0:
-                            # Canonical underflow diagnostics.
-                            res_trackers[core].on_evict(victim)
-                        elif current == 0:
-                            del counts[vm_id]
-                        else:
-                            counts[vm_id] = current
-                        if current <= res_thresholds[core]:
-                            on_low = res_on_low[core]
-                            if on_low is not None:
-                                on_low(core, vm_id, current)
+                        # Inlined ResidenceTracker.on_evict, keyed by the
+                        # victim's VM (it may be another VM's line, whose
+                        # decrement is what shrinks that VM's map).
+                        victim_vm = victim.vm_id
+                        if victim_vm != untracked:
+                            current = counts.get(victim_vm, 0) - 1
+                            if current < 0:
+                                # Canonical underflow diagnostics.
+                                res_trackers[core].on_evict(victim)
+                            elif current == 0:
+                                del counts[victim_vm]
+                            else:
+                                counts[victim_vm] = current
+                            if current <= res_thresholds[core]:
+                                on_low = res_on_low[core]
+                                if on_low is not None:
+                                    on_low(core, victim_vm, current)
                     elif observer is not None:
                         observer.on_evict(victim)
                 line = cache_line(block, vm_tag, is_write)

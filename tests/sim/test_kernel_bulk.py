@@ -3,15 +3,17 @@
 The seam applies eligible same-VM private misses inline in the batched
 kernel instead of descending through ``_transact``. Everything here
 pins its hard edges: migration windows and metrics samples landing in
-the middle of a bulk run, dirty/shared victims forcing mid-run
-bail-outs, migration and metrics deadlines between step-path accesses,
-deadline-clamped chunk refills, sanitized runs disabling the seam entirely, and the bail-out histogram
+the middle of a bulk run, dirty, cross-VM, untracked and
+provider-designated victims committed inline, migration and metrics
+deadlines between step-path accesses, deadline-clamped chunk refills,
+sanitized runs disabling the seam entirely, and the bail-out histogram
 that records why misses stayed on the reference path. All differential
 assertions are byte-equality of ``SimStats.to_dict()`` — the seam's
 contract is exactness, not approximation.
 """
 
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,8 @@ import pytest
 from repro.cache.hierarchy import PrivateHierarchy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.coherence.plan import RequestPlan
-from repro.core.filter import SnoopPolicy
+from repro.core.filter import ContentPolicy, SnoopPolicy
+from repro.core.residence import UNTRACKED_VM
 from repro.mem.pagetype import PageType
 from repro.sim.config import SimConfig
 from repro.sim.kernel import BatchedEngine, engine_for
@@ -39,7 +42,7 @@ MISS_HEAVY = SimConfig(
 )
 
 # The write-heavy counterpart: the backup service's ~95% store mix keeps
-# L2 victims dirty, so misses continually bail out mid-run.
+# L2 victims dirty, so the seam writes them back inline.
 WRITE_HEAVY = replace(MISS_HEAVY, suite="backup-window")
 
 
@@ -143,6 +146,173 @@ class TestBulkDifferential:
         )
 
 
+class _RecordingSet(dict):
+    """An L2 set that reports the victims the seam pops from it."""
+
+    def __init__(self, lines, core, probe):
+        super().__init__(lines)
+        self.core = core
+        self.probe = probe
+
+    def pop(self, *args):
+        line = super().pop(*args)
+        if sys._getframe(1).f_code.co_name == "bulk":
+            self.probe.seam_evicted(self.core, line)
+        return line
+
+
+class SeamProbe:
+    """Test-side record of the victims the bulk-miss seam commits.
+
+    The seam is the ``bulk`` closure of ``BatchedEngine._run_phase``: a
+    caller frame of that name marks an eviction (or a residence
+    ``on_low`` call) the seam performed itself, where the reference
+    path would do it from ``_apply_transact`` and
+    ``ResidenceTracker._decrement``. The requester is the VM of the
+    plan the seam looked up last. Install before ``engine.run()``: the
+    seam hoists the plan function, set lists and hooks at phase start.
+    """
+
+    def __init__(self, system, engine):
+        self.registry = system.registry._blocks
+        self.requester = None
+        # One record per seam eviction: (requester VM, victim line,
+        # core, held), where held is the victim block's registry state
+        # as (owned by core, dirty, providers), or None when the core
+        # held no tokens for it.
+        self.victims = []
+        # One record per seam-fired on_low: (requester VM, low VM).
+        self.lows = []
+        plan = engine._plan
+
+        def recording_plan(core, vm_id, page_type, block=None):
+            self.requester = vm_id
+            return plan(core, vm_id, page_type, block)
+
+        engine._plan = recording_plan
+        for core, hierarchy in engine._caches.items():
+            sets = hierarchy._l2_sets
+            for index, lines in enumerate(sets):
+                sets[index] = _RecordingSet(lines, core, self)
+        for tracker in system.snoop_filter.trackers.values():
+            tracker.on_low = self._recording_low(tracker.on_low)
+
+    def _recording_low(self, on_low):
+        def wrapper(core, vm_id, count):
+            if sys._getframe(1).f_code.co_name == "bulk":
+                self.lows.append((self.requester, vm_id))
+            if on_low is not None:
+                on_low(core, vm_id, count)
+
+        return wrapper
+
+    def seam_evicted(self, core, line):
+        state = self.registry.get(line.block)
+        if state is None or core not in state.sharers:
+            held = None
+        else:
+            held = (state.owner == core, state.dirty, dict(state.providers))
+        self.victims.append((self.requester, line, core, held))
+
+    def cross_vm(self):
+        return [
+            line for requester, line, _, _ in self.victims
+            if line.vm_id not in (requester, UNTRACKED_VM)
+        ]
+
+    def untracked(self):
+        return [
+            line for _, line, _, _ in self.victims
+            if line.vm_id == UNTRACKED_VM
+        ]
+
+    def provider_designated(self):
+        return [
+            line for _, line, core, held in self.victims
+            if held is not None and core in held[2].values()
+        ]
+
+    def written_back(self):
+        # registry.evicted's writeback rule: the owner token travels
+        # with dirty data.
+        return [
+            line for _, line, _, held in self.victims
+            if held is not None and held[0] and (held[1] or line.dirty)
+        ]
+
+
+def _memory_counts(system):
+    # Not on SimStats: a writeback charged as a token return (or the
+    # reverse) would otherwise only show up as a flit-count difference.
+    memory = system.memory_ctrl
+    return memory.data_reads, memory.writebacks, memory.token_returns
+
+
+def assert_identical_with_probe(config: SimConfig, app: str = "fft"):
+    """``assert_identical`` (plus the memory controller's counters) with
+    a :class:`SeamProbe` on the batched run."""
+    reference, _ = run_system(replace(config, kernel="reference"), app)
+    system = build_system(replace(config, kernel="batched"), PROFILES[app])
+    engine = engine_for(system)
+    assert isinstance(engine, BatchedEngine)
+    probe = SeamProbe(system, engine)
+    engine.run()
+    assert system.stats.to_dict() == reference.stats.to_dict()
+    assert _memory_counts(system) == _memory_counts(reference)
+    return probe
+
+
+class TestNewlyLegalVictims:
+    """Victims the seam used to bail on, now committed inline."""
+
+    def test_cross_vm_victims_fire_on_low(self, monkeypatch):
+        # Fast relocation leaves each VM's lines behind on cores it no
+        # longer runs on; evicting them decrements *their* VM's counter,
+        # which is how counter-threshold maps shrink (Section IV-B).
+        monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
+        probe = assert_identical_with_probe(
+            replace(
+                MISS_HEAVY,
+                migration_period_ms=0.1,
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+                counter_threshold=3,
+                accesses_per_vcpu=2000,
+            )
+        )
+        assert probe.cross_vm()
+        assert any(low != requester for requester, low in probe.lows)
+
+    def test_untracked_and_provider_victims(self, monkeypatch):
+        # Hypervisor/dom0 lines carry no residence counter, and RO-shared
+        # content lines can hold a provider designation the eviction
+        # must drop.
+        monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
+        probe = assert_identical_with_probe(
+            replace(
+                MISS_HEAVY,
+                l2_size=8 * 1024,
+                content_sharing_enabled=True,
+                hypervisor_activity_enabled=True,
+                content_policy=ContentPolicy.INTRA_VM,
+                accesses_per_vcpu=2000,
+            )
+        )
+        assert probe.untracked()
+        assert probe.provider_designated()
+
+    def test_dirty_owned_victims_write_back(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
+        probe = assert_identical_with_probe(
+            replace(
+                WRITE_HEAVY,
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+                counter_threshold=3,
+                accesses_per_vcpu=2000,
+            )
+        )
+        assert probe.written_back()
+
+
 class TestSanitizedBulk:
     def test_sanitizer_disables_seam_and_stays_clean(self):
         config = replace(MISS_HEAVY, sanitize=True, accesses_per_vcpu=2000)
@@ -172,10 +342,16 @@ class TestBailHistogram:
         # the seam-visible private misses commit inline.
         assert bulk / (bulk + bailed) >= 0.5
 
-    def test_write_heavy_records_dirty_victims(self):
+    def test_write_heavy_commits_victims_inline(self):
         _, engine = run_system(replace(WRITE_HEAVY, kernel="batched"))
         summary = engine.bulk_summary()
-        assert summary["bailouts"].get("victim-dirty", 0) > 0
+        bulk = summary["bulk_transacts"]
+        bailed = sum(summary["bailouts"].values())
+        # Dirty victims no longer bail: the seam writes them back inline.
+        assert bulk / (bulk + bailed) >= 0.9, summary
+        assert not any(
+            reason.startswith("victim-") for reason in summary["bailouts"]
+        )
 
     def test_summary_is_sorted_and_detached(self):
         _, engine = run_system(replace(MISS_HEAVY, kernel="batched"))
