@@ -6,18 +6,22 @@ it, and asserts the shape claims the paper makes. Benchmarks run once
 microseconds.
 
 At session end the harness writes ``benchmarks/results/BENCH_<rev>.json``
-with per-test wall-clock durations, the campaigns' headline metrics and
-the result-store traffic — a regression guard: diff two revisions' files
-to see whether a change moved runtimes or, worse, results. If a previous
-revision's file exists, the total-duration ratio is printed as a quick
-signal and any individual test that slowed past
-``_WALL_TIME_RATIO_FLAG`` is named. Wall-time comparisons only run
+with per-test wall-clock durations, the campaigns' headline metrics,
+the result-store traffic, the peak RSS of the session and of its worker
+processes, and the host it ran on — a regression guard: diff two
+revisions' files to see whether a change moved runtimes or, worse,
+results. If a previous revision's file exists, the total-duration
+ratio is printed as a quick signal and any individual test that slowed
+past ``_WALL_TIME_RATIO_FLAG`` is named. Wall-time comparisons only run
 between files recorded in the same mode (fast vs full) and only against
 cold-store runs — a warm store makes every campaign replay from disk,
 which would flag the *next* cold run as a regression.
 """
 
 import json
+import os
+import platform
+import resource
 import subprocess
 import sys
 import time
@@ -57,6 +61,22 @@ def _current_rev() -> str:
         return "unknown"
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _peak_rss_mb(who: int) -> float:
+    """Peak resident set size in MB (``ru_maxrss`` is KiB on Linux)."""
+    return round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
+
+
 def pytest_runtest_logreport(report):
     if report.when == "call":
         _durations[report.nodeid] = round(report.duration, 3)
@@ -65,8 +85,6 @@ def pytest_runtest_logreport(report):
 def pytest_sessionfinish(session, exitstatus):
     if not _durations:
         return
-    import os
-
     import _shared
     from repro.sim import default_jobs
     from repro.store import get_store, store_root
@@ -87,6 +105,16 @@ def pytest_sessionfinish(session, exitstatus):
         "total_duration_s": round(sum(_durations.values()), 3),
         "durations_s": dict(sorted(_durations.items())),
         "headlines": _shared.headline_metrics(),
+        # Children: the largest single worker process, not their sum.
+        "peak_rss_mb": {
+            "self": _peak_rss_mb(resource.RUSAGE_SELF),
+            "children": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+        },
+        "host": {
+            "cpu_model": _cpu_model(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+        },
         # Parent-process traffic only: parallel campaigns hit the store
         # inside worker processes, whose counters die with the workers.
         "store": {

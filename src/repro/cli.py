@@ -322,6 +322,7 @@ def _config_from_args(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.sim import SimTask, run_simulation_task
+    from repro.sim.engine import collector_paused
     from repro.sim.runner import prepare_task
 
     config = _config_from_args(args)
@@ -334,9 +335,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         # Tracing writes a file and the sanitizer reports live state:
         # both need the simulation to actually run, so only the
-        # warm-state snapshot layer applies.
-        system, engine, clocks = prepare_task(task)
-        engine.measure(clocks)
+        # warm-state snapshot layer applies. The collector is paused as
+        # it is for a campaign cell.
+        with collector_paused():
+            system, engine, clocks = prepare_task(task)
+            engine.measure(clocks)
         stats = system.stats
     # Zero-length runs (e.g. --accesses 0) produce no measured accesses
     # and may produce no coherence transactions: print "n/a" rather than
@@ -467,12 +470,14 @@ def _measured_phase_cpu(config, app):
     import time
 
     from repro.sim import SimTask
+    from repro.sim.engine import collector_paused
     from repro.sim.runner import prepare_task
 
-    system, engine, clocks = prepare_task(SimTask(config, app))
-    start = time.process_time()  # repro-lint: disable=RPL004; host timing only
-    engine.measure(clocks)
-    elapsed = time.process_time() - start  # repro-lint: disable=RPL004; host timing only
+    with collector_paused():
+        system, engine, clocks = prepare_task(SimTask(config, app))
+        start = time.process_time()  # repro-lint: disable=RPL004; host timing only
+        engine.measure(clocks)
+        elapsed = time.process_time() - start  # repro-lint: disable=RPL004; host timing only
     summary_fn = getattr(engine, "bulk_summary", None)
     summary = summary_fn() if summary_fn is not None else None
     return 1e6 * elapsed / system.stats.l1_accesses, summary
@@ -492,6 +497,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     from repro.sim import SimTask
+    from repro.sim.engine import collector_paused
     from repro.sim.runner import prepare_task
     from repro.store import get_store
 
@@ -502,9 +508,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     start = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
     profiler.enable()
-    system, engine, clocks = prepare_task(task)
-    warm_done = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
-    engine.measure(clocks)
+    # Paused as for a campaign cell, so the setup/measured split below
+    # is what an unprofiled cell pays.
+    with collector_paused():
+        system, engine, clocks = prepare_task(task)
+        warm_done = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
+        engine.measure(clocks)
     profiler.disable()
     end = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
     elapsed = end - start

@@ -19,7 +19,8 @@ from __future__ import annotations
 import gc
 import heapq
 import random
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple
 
 
 from repro.cache.line import CacheLine
@@ -28,6 +29,26 @@ from repro.hypervisor.vm import DOM0_VM_ID, VCpu
 from repro.mem.pagetype import PageType
 from repro.sim.system import HYPERVISOR_SPACE, SimulatedSystem
 from repro.workloads.trace import Initiator
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore the state found on exit.
+
+    A simulation allocates heavily into long-lived containers (cache
+    lines, registry state, snapshot payloads), which makes the collector
+    fire constantly for no reclaimable garbage. Everything a run
+    allocates is reachable or refcount-collected, so pausing it is
+    purely a speed-up. A collector the caller had disabled stays
+    disabled.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class SimulationEngine:
@@ -152,18 +173,8 @@ class SimulationEngine:
         )
         clocks = [0] * len(self._vcpus)
         if warmup > 0:
-            # The access loop allocates heavily into long-lived containers
-            # (cache lines, registry state), which makes the cyclic GC fire
-            # constantly for no reclaimable garbage. Everything the engine
-            # allocates is reachable or refcount-collected, so pausing the
-            # collector for the phase is purely a speed-up.
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
+            with collector_paused():
                 clocks = self._run_phase(clocks, warmup, migrate=False)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
             self._reset_measurements(min(clocks))
         return clocks
 
@@ -195,13 +206,8 @@ class SimulationEngine:
             self._tracer.begin_measurement(start)
         if self._metrics is not None:
             self._next_sample = self._metrics.begin(start)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             clocks = self._run_phase(clocks, budget, migrate=True)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         self.stats.execution_cycles = max(clocks) - start
         self._finalise()
 

@@ -46,6 +46,7 @@ defaults to the ``REPRO_CAMPAIGN_DIR`` environment variable, or to the
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -67,10 +68,12 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
 )
 
 from repro.sim.config import SimConfig
+from repro.sim.engine import collector_paused
 from repro.sim.stats import SimStats
 from repro.sim.system import SnapshotMismatch, build_system
 from repro.sim.kernel import engine_for
@@ -147,17 +150,33 @@ def run_simulation_task(task: SimTask) -> SimStats:
         )
         if stats is not None:
             return stats
-    system, engine, clocks = prepare_task(task)
-    engine.measure(clocks)
-    stats = system.stats
-    summary_fn = getattr(engine, "bulk_summary", None)
-    if summary_fn is not None:
-        _last_diagnostics = summary_fn()
+    # The collector stays paused for the whole computed cell (build,
+    # warm-up or restore, snapshot capture and its store I/O, measure). The
+    # cell's system is held together by reference cycles, so it is only
+    # dropped once _measure_cell has returned; nothing was collected
+    # during the pause, so the whole dead system is still in the young
+    # generation and one young pass frees it before the collector
+    # resumes (resuming first would promote it to the old generation).
+    with collector_paused():
+        stats, _last_diagnostics = _measure_cell(task)
+        gc.collect(0)
     if store is not None:
         store.save_result(
             task_key(task), task.app, config_to_dict(task.config), stats
         )
     return stats
+
+
+def _measure_cell(task: SimTask) -> Tuple[SimStats, Optional[dict]]:
+    """Prepare and measure ``task``; returns ``(stats, diagnostics)``.
+
+    Returns nothing that keeps the system alive, so the system, engine
+    and snapshot payload become unreachable when this frame ends.
+    """
+    system, engine, clocks = prepare_task(task)
+    engine.measure(clocks)
+    summary_fn = getattr(engine, "bulk_summary", None)
+    return system.stats, summary_fn() if summary_fn is not None else None
 
 
 def prepare_task(task: SimTask):

@@ -18,8 +18,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cache.hierarchy import PrivateHierarchy
-from repro.cache.setassoc import SetAssociativeCache
 from repro.coherence.plan import RequestPlan
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.core.residence import UNTRACKED_VM
@@ -387,58 +385,6 @@ class TestBailHistogram:
         )
         engine = engine_for(system)
         assert not hasattr(engine, "bulk_summary")
-
-
-class TestVictimPeek:
-    def test_peek_matches_insert(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        # Fill set 0 (blocks 0, 2): next insert into set 0 evicts LRU 0.
-        cache.insert(0, vm_id=1)
-        cache.insert(2, vm_id=1)
-        predicted = cache.peek_victim(4)
-        assert predicted is not None and predicted.block == 0
-        actual = cache.insert(4, vm_id=2)
-        assert actual is predicted
-
-    def test_peek_no_eviction_cases(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        cache.insert(0, vm_id=1)
-        assert cache.peek_victim(2) is None  # set not full
-        cache.insert(2, vm_id=1)
-        assert cache.peek_victim(0) is None  # already resident
-
-    def test_peek_is_pure(self):
-        from repro.cache.setassoc import CacheObserver
-
-        events = []
-
-        class Spy(CacheObserver):
-            def on_evict(self, line):
-                events.append(("evict", line.block))
-
-            def on_insert(self, line):
-                events.append(("insert", line.block))
-
-        cache = SetAssociativeCache(num_sets=1, ways=2, observer=Spy())
-        cache.insert(0, vm_id=1)
-        cache.insert(1, vm_id=1)
-        events.clear()
-        before = list(cache._sets[0])
-        cache.peek_victim(2)
-        # No observer events, no LRU touch, no mutation.
-        assert events == []
-        assert list(cache._sets[0]) == before
-
-    def test_hierarchy_fill_victim_delegates(self):
-        hierarchy = PrivateHierarchy(
-            core_id=0, l1_size=128, l1_ways=1, l2_size=256, l2_ways=1,
-            block_size=64,
-        )
-        hierarchy.fill(0, vm_id=1)
-        predicted = hierarchy.fill_victim(4)
-        assert predicted is not None and predicted.block == 0
-        victim = hierarchy.fill(4, vm_id=1)
-        assert victim is predicted
 
 
 class TestPlanProperties:
