@@ -14,10 +14,10 @@ matrices out over worker processes — results are bit-identical at any
 job count, only wall-clock time changes.
 
 ``experiment --out DIR`` turns a run into a resumable campaign: every
-completed cell is checkpointed to ``DIR`` as JSON, a manifest records
-what ran, and ``--resume`` re-runs only the missing cells (Ctrl-C keeps
-what finished). ``--retries`` and ``--task-timeout`` bound individual
-cell failures and hangs.
+completed cell is checkpointed to ``DIR/results/`` as JSON, a manifest
+records what ran, and ``--resume`` re-runs only the missing cells
+(Ctrl-C keeps what finished). ``--retries`` and ``--task-timeout``
+bound individual cell failures and hangs.
 
 Examples::
 
@@ -409,9 +409,7 @@ def cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
         out = Path(args.out)
         if out.is_dir() and not args.resume:
-            cells = [
-                p for p in out.glob("*.json") if not p.name.startswith("manifest")
-            ]
+            cells = list(out.glob("results/*.json"))
             if cells:
                 parser.error(
                     f"{out} already holds {len(cells)} checkpointed cell(s); "

@@ -31,16 +31,18 @@ optional per-cell retries and a wall-clock timeout, and the whole matrix
 survives Ctrl-C: workers are terminated and the completed cells are
 returned via :class:`CampaignInterrupted`.
 
-With ``checkpoint_dir`` set, every completed cell is persisted as JSON
-keyed by a stable hash of its (config, app) pair, so re-running the same
-matrix skips the already-done cells — and, because the JSON round trip
-through :meth:`SimStats.to_dict` is lossless, a resumed matrix is
-bit-identical to an uninterrupted serial run. A ``manifest-*.json``
-per matrix records what ran: tasks, seeds, job count, git revision,
-per-cell wall-clock and µs/access, and failures. The campaign directory
-defaults to the ``REPRO_CAMPAIGN_DIR`` environment variable, or to the
-:func:`set_campaign` settings installed by ``repro-sim experiment
---out/--resume/--retries/--task-timeout``.
+With ``checkpoint_dir`` set, the directory is a
+:class:`~repro.store.ResultStore` root scoped to the campaign: every
+completed cell is saved under ``results/<task_key>.json`` in the store's
+format (version stamp, key and identity checks included), so re-running
+the same matrix skips the already-done cells — and, because the JSON
+round trip through :meth:`SimStats.to_dict` is lossless, a resumed
+matrix is bit-identical to an uninterrupted serial run. A
+``manifest-*.json`` per matrix records what ran: tasks, seeds, job
+count, git revision, per-cell wall-clock and µs/access, and failures.
+The campaign directory defaults to the ``REPRO_CAMPAIGN_DIR``
+environment variable, or to the :func:`set_campaign` settings installed
+by ``repro-sim experiment --out/--resume/--retries/--task-timeout``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from repro.sim.engine import collector_paused
 from repro.sim.stats import SimStats
 from repro.sim.system import SnapshotMismatch, build_system
 from repro.sim.kernel import engine_for
-from repro.store import get_store, snapshots_enabled
+from repro.store import ResultStore, get_store, snapshots_enabled
 from repro.workloads import get_profile
 
 T = TypeVar("T")
@@ -86,7 +88,6 @@ R = TypeVar("R")
 JOBS_ENV_VAR = "REPRO_JOBS"
 CAMPAIGN_ENV_VAR = "REPRO_CAMPAIGN_DIR"
 MANIFEST_FORMAT = 1
-CHECKPOINT_FORMAT = 1
 
 _default_jobs: Optional[int] = None
 
@@ -536,43 +537,6 @@ def parallel_map(
 
 
 # ----------------------------------------------------------------------
-# Checkpoint persistence.
-# ----------------------------------------------------------------------
-
-
-def _checkpoint_path(checkpoint_dir: Path, key: str) -> Path:
-    return checkpoint_dir / f"{key}.json"
-
-
-def _save_checkpoint(path: Path, task: SimTask, key: str, stats: SimStats) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "key": key,
-        "app": task.app,
-        "config": config_to_dict(task.config),
-        "stats": stats.to_dict(),
-    }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(path: Path, key: str) -> Optional[SimStats]:
-    """The persisted stats of one cell, or None when absent/corrupt.
-
-    A checkpoint that fails to parse (truncated write, format drift, key
-    mismatch) is treated as missing — the cell simply reruns.
-    """
-    try:
-        payload = json.loads(path.read_text())
-        if payload.get("format") != CHECKPOINT_FORMAT or payload.get("key") != key:
-            return None
-        return SimStats.from_dict(payload["stats"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-# ----------------------------------------------------------------------
 # Run manifest.
 # ----------------------------------------------------------------------
 
@@ -683,7 +647,7 @@ def _write_manifest(
         "tasks": entries,
     }
     path = checkpoint_dir / name
-    tmp = path.with_suffix(".tmp")
+    tmp = path.with_suffix(f".tmp{os.getpid()}")
     tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     os.replace(tmp, path)
     return path
@@ -749,22 +713,30 @@ class _Progress:
 # ----------------------------------------------------------------------
 
 
-def _detailed_child(conn, task_fn, index, task, retries):
-    """Child-process body: run one cell with retries, report over the pipe."""
+def _attempt(task_fn, task, retries):
+    """Run one cell, retrying failures in place.
+
+    Returns ``(stats, error, attempts, wall, diagnostics)``; ``stats`` and
+    ``diagnostics`` are None and ``error`` holds the last traceback when
+    every attempt failed. ``KeyboardInterrupt`` is not an ``Exception``,
+    so it propagates.
+    """
     start = time.perf_counter()  # repro-lint: disable=RPL004; cell runtime metric
-    error = None
-    attempts = 0
     for attempt in range(1, max(retries, 0) + 2):
-        attempts = attempt
         try:
             stats = task_fn(task)
         except Exception:
             error = traceback.format_exc()
         else:
-            conn.send((index, stats, None, attempts, time.perf_counter() - start, consume_diagnostics()))  # repro-lint: disable=RPL004; cell runtime metric
-            conn.close()
-            return
-    conn.send((index, None, error, attempts, time.perf_counter() - start, None))  # repro-lint: disable=RPL004; cell runtime metric
+            wall = time.perf_counter() - start  # repro-lint: disable=RPL004; cell runtime metric
+            return stats, None, attempt, wall, consume_diagnostics()
+    wall = time.perf_counter() - start  # repro-lint: disable=RPL004; cell runtime metric
+    return None, error, attempt, wall, None
+
+
+def _detailed_child(conn, task_fn, index, task, retries):
+    """Child-process body: run one cell with retries, report over the pipe."""
+    conn.send((index, *_attempt(task_fn, task, retries)))
     conn.close()
 
 
@@ -772,34 +744,14 @@ def _run_serial(tasks, indices, task_fn, retries, on_complete):
     """Inline execution; identical capture semantics, no processes.
 
     ``KeyboardInterrupt`` propagates to the caller after the completed
-    cells have been reported (and therefore checkpointed).
+    cells have been reported (and therefore persisted).
     """
     for i in indices:
-        start = time.perf_counter()  # repro-lint: disable=RPL004; cell runtime metric
-        stats = None
-        error = None
-        attempts = 0
-        for attempt in range(1, max(retries, 0) + 2):
-            attempts = attempt
-            try:
-                stats = task_fn(tasks[i])
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                error = traceback.format_exc()
-            else:
-                error = None
-                break
+        stats, error, attempts, wall, diagnostics = _attempt(task_fn, tasks[i], retries)
         on_complete(
             TaskResult(
-                i,
-                tasks[i],
-                stats,
-                error,
-                attempts,
-                time.perf_counter() - start,  # repro-lint: disable=RPL004; cell runtime metric
-                False,
-                diagnostics=consume_diagnostics() if error is None else None,
+                i, tasks[i], stats, error, attempts, wall, False,
+                diagnostics=diagnostics,
             )
         )
 
@@ -905,8 +857,9 @@ def run_matrix_detailed(
     result with ``error`` set while every other cell completes normally.
     ``retries`` reruns a failing cell in place before recording it.
 
-    With ``checkpoint_dir``, completed cells are persisted as JSON and
-    skipped on the next run (``from_checkpoint=True``), and a manifest
+    With ``checkpoint_dir``, completed cells are saved to a campaign
+    :class:`~repro.store.ResultStore` rooted there and skipped on the
+    next run (``from_checkpoint=True``), and a manifest
     is written when the matrix finishes — or is interrupted, in which
     case :class:`CampaignInterrupted` carries the partial results.
 
@@ -930,45 +883,42 @@ def run_matrix_detailed(
     keys = [task_key(task) for task in tasks]
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     ckpt = Path(checkpoint_dir) if checkpoint_dir else None
-    # The store holds run_simulation_task results; a custom task_fn
-    # computes something else under the same keys, so never serve it
-    # store entries (checkpoints are per-campaign and stay the caller's
-    # responsibility to scope).
-    store = get_store() if task_fn is run_simulation_task else None
-    to_run: List[int] = []
-    if ckpt is not None or store is not None:
-        if ckpt is not None:
-            ckpt.mkdir(parents=True, exist_ok=True)
-        for i, task in enumerate(tasks):
-            stats = None
-            from_checkpoint = from_store = False
-            if ckpt is not None:
-                stats = _load_checkpoint(_checkpoint_path(ckpt, keys[i]), keys[i])
-                from_checkpoint = stats is not None
-            if stats is None and store is not None:
-                stats = store.load_result(
-                    keys[i], task.app, config_to_dict(task.config)
-                )
-                from_store = stats is not None
-            if stats is None:
-                to_run.append(i)
-                continue
-            # Promote each way so the next consumer finds it closer:
-            # a store hit seeds this campaign's checkpoints, a resumed
-            # checkpoint seeds the store for every other campaign.
-            if from_store and ckpt is not None:
-                _save_checkpoint(
-                    _checkpoint_path(ckpt, keys[i]), task, keys[i], stats
-                )
-            if from_checkpoint and store is not None and not store.has_result(keys[i]):
+    if ckpt is not None:
+        ckpt.mkdir(parents=True, exist_ok=True)
+    campaign = ResultStore(ckpt) if ckpt is not None else None
+    # The shared store holds run_simulation_task results; a custom
+    # task_fn computes something else under the same keys, so never
+    # serve it shared entries (the campaign store is the caller's to
+    # scope).
+    shared = get_store() if task_fn is run_simulation_task else None
+    stores = [store for store in (campaign, shared) if store is not None]
+
+    def publish(i: int, stats: SimStats, source: Optional[ResultStore]) -> None:
+        # Save the cell to every store that did not serve it and lacks a
+        # servable copy. The campaign store is consulted first, so unless
+        # it is the source it missed (its file, if any, is unservable and
+        # is replaced); the shared store is skipped when it already holds
+        # the cell, e.g. saved there by run_simulation_task.
+        for store in stores:
+            if store is not source and (
+                store is campaign or not store.has_result(keys[i])
+            ):
                 store.save_result(
-                    keys[i], task.app, config_to_dict(task.config), stats
+                    keys[i], tasks[i].app, config_to_dict(tasks[i].config), stats
                 )
-            results[i] = TaskResult(
-                i, task, stats, None, 0, 0.0, from_checkpoint, from_store
-            )
-    else:
-        to_run = list(range(len(tasks)))
+
+    to_run: List[int] = []
+    for i, task in enumerate(tasks):
+        for store in stores:
+            stats = store.load_result(keys[i], task.app, config_to_dict(task.config))
+            if stats is not None:
+                publish(i, stats, store)
+                results[i] = TaskResult(
+                    i, task, stats, None, 0, 0.0, store is campaign, store is shared
+                )
+                break
+        else:
+            to_run.append(i)
 
     reporter = _Progress(
         total=len(tasks),
@@ -978,13 +928,8 @@ def run_matrix_detailed(
     )
 
     def on_complete(result: TaskResult) -> None:
-        if result.ok and ckpt is not None:
-            _save_checkpoint(
-                _checkpoint_path(ckpt, keys[result.index]),
-                result.task,
-                keys[result.index],
-                result.stats,
-            )
+        if result.ok:
+            publish(result.index, result.stats, None)
         results[result.index] = result
         reporter.completed(result)
 

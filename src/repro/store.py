@@ -1,15 +1,17 @@
 """Cross-run result store: compute each simulation cell once, ever.
 
-The PR 2 checkpoints made one *campaign* resumable; this module makes
-results global. A :class:`ResultStore` is a content-addressed directory
-(default ``~/.cache/repro``, overridden by the ``REPRO_STORE``
-environment variable) holding two kinds of entries:
+A :class:`ResultStore` is a content-addressed directory holding two kinds
+of entries. The shared store (default ``~/.cache/repro``, overridden by
+the ``REPRO_STORE`` environment variable) makes results global; a
+campaign directory (``run_matrix_detailed(checkpoint_dir=...)``,
+``repro-sim experiment --out``) is a second root of the same format,
+scoped to one campaign, whose results are its checkpoints.
 
 * **results** — the ``SimStats`` of one (config, app) cell, keyed by the
-  same stable ``task_key`` hash the checkpoints use. Any entry point
-  that funnels through :func:`repro.sim.runner.run_simulation_task` —
-  ``run_matrix``, the CLI ``run``/``experiment`` subcommands, every
-  experiment driver, the benchmark harness — reuses them.
+  stable ``task_key`` hash. Any entry point that funnels through
+  :func:`repro.sim.runner.run_simulation_task` — ``run_matrix``, the CLI
+  ``run``/``experiment`` subcommands, every experiment driver, the
+  benchmark harness — reuses them.
 * **warm-state snapshots** — the post-warmup architectural state of a
   simulated system (:meth:`repro.sim.system.SimulatedSystem.snapshot`),
   keyed by a *warmup fingerprint*: the config minus fields provably
@@ -32,9 +34,10 @@ Every entry embeds three things the loader verifies before serving:
 
 A failed check is **skipped loudly**: one line on stderr naming the
 entry and the reason, a bump of the ``skipped`` counter, and a miss —
-mirroring the ``_load_checkpoint`` hardening, but never silent, because
-a store serves many campaigns and a corrupt entry would otherwise cost
-every one of them a recompute with no trace of why.
+never silent, because a store serves many campaigns and a corrupt entry
+would otherwise cost every one of them a recompute with no trace of why.
+Writes go through a per-process temp name and an atomic rename, so
+concurrent writers of one entry never see each other's partial files.
 
 Hit/miss/skip counters accumulate per store instance; campaign manifests
 and ``repro-sim profile`` surface them so reuse wins are visible instead

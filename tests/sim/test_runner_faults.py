@@ -10,10 +10,14 @@ The guarantees under test:
   checkpoint directory is active) and the resumed matrix is
   bit-identical — full ``SimStats`` dict diff — to an uninterrupted
   serial run;
+* campaign cells are result-store entries: a stale or colliding one is
+  skipped loudly and recomputed, and two writers of one cell never lose
+  a temp file to each other;
 * the manifest records tasks, seeds, job count, wall-clock and failures.
 """
 
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -34,7 +38,9 @@ from repro.sim import (
     set_campaign,
     task_key,
 )
-from repro.sim.runner import CAMPAIGN_ENV_VAR, run_simulation_task
+from repro.sim.runner import CAMPAIGN_ENV_VAR, config_to_dict, run_simulation_task
+from repro.sim.stats import SimStats
+from repro.store import STATE_VERSION, ResultStore
 
 
 def small_config(**kw):
@@ -80,6 +86,15 @@ def _square_or_boom(x):
     if x == 2:
         raise ValueError("x is two")
     return x * x
+
+
+def _publish_repeatedly(campaign_dir, task, stats_dict, start, times):
+    """Save one cell into a campaign directory ``times`` times over."""
+    store = ResultStore(Path(campaign_dir))
+    stats = SimStats.from_dict(stats_dict)
+    start.wait()
+    for _ in range(times):
+        store.save_result(task_key(task), task.app, config_to_dict(task.config), stats)
 
 
 class TestCrashIsolation:
@@ -206,10 +221,73 @@ class TestCheckpointResume:
     def test_corrupt_checkpoint_treated_as_missing(self, tmp_path):
         tasks = seed_tasks(1)
         run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
-        cell = tmp_path / f"{task_key(tasks[0])}.json"
+        cell = tmp_path / "results" / f"{task_key(tasks[0])}.json"
         cell.write_text("{ truncated")
         results = run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
         assert results[0].ok and not results[0].from_checkpoint
+
+    @pytest.mark.parametrize("fault", ["stale", "collision"])
+    def test_unservable_entry_recomputes_loudly(
+        self, tmp_path, monkeypatch, capsys, fault
+    ):
+        # Store off: the campaign directory is the only thing that could
+        # serve the cell.
+        monkeypatch.setenv("REPRO_STORE", "off")
+        tasks = seed_tasks(5)
+        run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
+        entry = tmp_path / "results" / f"{task_key(tasks[0])}.json"
+        if fault == "stale":
+            # An entry written before a semantics change.
+            monkeypatch.setattr("repro.store.STATE_VERSION", STATE_VERSION + 1)
+            reason = "state_version"
+        else:
+            # Another cell's entry under this key (a truncated-hash clash).
+            payload = json.loads(entry.read_text())
+            payload["config"]["seed"] += 1
+            entry.write_text(json.dumps(payload))
+            reason = "key collision"
+        capsys.readouterr()
+        rerun = run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
+        assert rerun[0].ok and not rerun[0].from_checkpoint
+        assert reason in capsys.readouterr().err
+        fresh = run_simulation_task(tasks[0])
+        assert rerun[0].stats.to_dict() == fresh.to_dict()
+        # The recomputed cell replaced the unservable entry.
+        again = run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
+        assert again[0].from_checkpoint
+        assert again[0].stats.to_dict() == fresh.to_dict()
+
+    def test_concurrent_writers_of_one_cell(self, tmp_path, monkeypatch):
+        # Two campaigns sharing a directory publish the same cell at once;
+        # neither may lose its temp file to the other's rename.
+        monkeypatch.setenv("REPRO_STORE", "off")
+        task = seed_tasks(6)[0]
+        stats = run_simulation_task(task)
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Event()
+        writers = [
+            ctx.Process(
+                target=_publish_repeatedly,
+                args=(str(tmp_path), task, stats.to_dict(), start, 200),
+            )
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        start.set()
+        try:
+            for writer in writers:
+                writer.join(timeout=120)
+            assert [writer.exitcode for writer in writers] == [0, 0]
+        finally:
+            for writer in writers:
+                if writer.is_alive():
+                    writer.terminate()
+                    writer.join()
+        assert not list(tmp_path.glob("results/*.tmp*"))
+        served = run_matrix_detailed([task], jobs=1, checkpoint_dir=str(tmp_path))
+        assert served[0].from_checkpoint
+        assert served[0].stats.to_dict() == stats.to_dict()
 
     def test_parallel_resume_matches_serial(self, tmp_path):
         tasks = seed_tasks(1, 2, 3)
@@ -266,7 +344,7 @@ class TestCampaignSettings:
         monkeypatch.setenv(CAMPAIGN_ENV_VAR, str(tmp_path))
         assert campaign_settings().checkpoint_dir == str(tmp_path)
         run_matrix(seed_tasks(1), jobs=1)
-        assert list(tmp_path.glob("*.json"))
+        assert list(tmp_path.glob("results/*.json"))
 
     def test_set_campaign_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CAMPAIGN_ENV_VAR, "/nonexistent")

@@ -106,7 +106,7 @@ class TestResultReuse:
         # Store hit seeds the campaign's checkpoint directory...
         run_simulation_task(task)
         run_matrix_detailed([task], jobs=1, checkpoint_dir=str(ckpt))
-        assert (ckpt / f"{key}.json").exists()
+        assert (ckpt / "results" / f"{key}.json").exists()
         # ...and a resumed checkpoint seeds an empty store.
         for entry in fresh_store.results_dir.iterdir():
             entry.unlink()

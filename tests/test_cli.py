@@ -141,7 +141,7 @@ class TestExperimentCampaign:
             "from_store": 0,
             "wall_seconds": manifest["totals"]["wall_seconds"],
         }
-        cells = [p for p in out.glob("*.json") if not p.name.startswith("manifest")]
+        cells = list(out.glob("results/*.json"))
         assert len(cells) == 2
 
     def test_resume_reuses_checkpointed_cells(self, tmp_path, capsys):
