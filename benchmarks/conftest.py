@@ -13,9 +13,11 @@ revisions' files to see whether a change moved runtimes or, worse,
 results. If a previous revision's file exists, the total-duration
 ratio is printed as a quick signal and any individual test that slowed
 past ``_WALL_TIME_RATIO_FLAG`` is named. Wall-time comparisons only run
-between files recorded in the same mode (fast vs full) and only against
-cold-store runs — a warm store makes every campaign replay from disk,
-which would flag the *next* cold run as a regression.
+between files recorded in the same mode (fast vs full), under the same
+kernel and on the same host (CPU model, CPU count, Python version; a
+file without a host block is never a baseline), and per-test flags only
+between cold-store runs — a warm store makes every campaign replay from
+disk, which would flag the *next* cold run as a regression.
 """
 
 import json
@@ -125,12 +127,14 @@ def pytest_sessionfinish(session, exitstatus):
     # When the campaigns checkpoint (REPRO_CAMPAIGN_DIR, e.g. in CI),
     # record where and what so the bench guard links to the manifests.
     campaign_dir = os.environ.get("REPRO_CAMPAIGN_DIR")
+    # Manifests sit at the top level; cells in the campaign store's
+    # results/ directory.
     if campaign_dir and Path(campaign_dir).is_dir():
-        files = list(Path(campaign_dir).glob("*.json"))
+        root = Path(campaign_dir)
         payload["campaign"] = {
             "dir": campaign_dir,
-            "manifests": sorted(p.name for p in files if p.name.startswith("manifest")),
-            "cells": sum(1 for p in files if not p.name.startswith("manifest")),
+            "manifests": sorted(p.name for p in root.glob("manifest*.json")),
+            "cells": sum(1 for _ in (root / "results").glob("*.json")),
         }
     RESULTS_DIR.mkdir(exist_ok=True)
     suffix = "" if kernel == "auto" else f"-{kernel}"
@@ -143,8 +147,9 @@ def pytest_sessionfinish(session, exitstatus):
     line = f"bench guard: wrote {out_path}"
     slow = []
     # Compare against the most recent file recorded like-for-like: same
-    # mode and same kernel (a batched run against a reference run would
-    # report the kernels' speed difference as a "regression").
+    # mode, same kernel (a batched run against a reference run would
+    # report the kernels' speed difference as a "regression") and same
+    # host (another machine's speed is not a regression either).
     for prior_path in reversed(previous):
         try:
             prior = json.loads(prior_path.read_text())
@@ -153,6 +158,7 @@ def pytest_sessionfinish(session, exitstatus):
         if (
             prior.get("fast_mode") != payload["fast_mode"]
             or prior.get("kernel", "auto") != kernel
+            or prior.get("host") != payload["host"]
         ):
             continue
         prior_total = prior.get("total_duration_s") or 0.0
@@ -164,6 +170,8 @@ def pytest_sessionfinish(session, exitstatus):
             )
             slow = _wall_time_regressions(prior, payload)
         break
+    else:
+        line += " (no same-host baseline)"
     print()
     print(line)
     for nodeid, before, after in slow:

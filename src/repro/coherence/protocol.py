@@ -90,29 +90,14 @@ class TokenProtocol:
         )
 
     def _memory_read_latency(self, core: int, cycle: int) -> int:
-        """Request to the memory node, DRAM access, data back (with traffic).
-
-        Fused equivalent of ``send(core, node, REQUEST)`` + DRAM read +
-        ``send(node, core, DATA)``: XY hop counts are symmetric and the
-        window can only roll over once per cycle value, so the two sends'
-        traffic is charged in one batch with identical totals.
-        """
-        network = self.network
-        if cycle - network._window_start >= network.window_cycles:
-            network._advance_window(cycle)
+        """Request to the memory node, DRAM access, data back (with traffic)."""
         node = self.memory.node
-        if core == node:
-            return self.memory.read()
-        hops = network._hops[core][node]
-        flit_hops = (
-            network._flits[MessageKind.REQUEST] + network._flits[MessageKind.DATA]
-        ) * hops
-        network.messages += 2
-        network.flit_hops += flit_hops
-        network.bytes_transferred += flit_hops * network.sizing.link_bytes
-        network._window_flit_hops += flit_hops
-        path = hops * network._per_hop + network.contention_delay()
-        return path + self.memory.read() + path
+        network = self.network
+        return (
+            network.send(core, node, MessageKind.REQUEST, cycle)
+            + self.memory.read()
+            + network.send(node, core, MessageKind.DATA, cycle)
+        )
 
     # ------------------------------------------------------------------
     # Transaction execution.
@@ -135,17 +120,9 @@ class TokenProtocol:
         broadcast fallback, which is a correctness bug worth failing
         loudly on.
         """
-        # Inlined CoherenceStats.record_transaction / record_snoops: this
-        # runs once per coherence transaction and the method-call overhead
-        # shows up in profiles.
         stats = self.stats
         page_type = plan.page_type
-        stats.transactions += 1
-        stats.transactions_by_page_type[page_type] += 1
-        if is_write:
-            stats.getm_count += 1
-        else:
-            stats.gets_count += 1
+        stats.record_transaction(page_type, is_write)
         if plan.ro_shared and not is_write:
             self._record_ro_holders(core, block, plan)
         total_latency = 0
@@ -153,9 +130,7 @@ class TokenProtocol:
         last = len(attempts) - 1
         multicast = self.network.multicast
         for index, destinations in enumerate(attempts):
-            snoops = len(destinations)
-            stats.snoops += snoops
-            stats.snoops_by_page_type[page_type] += snoops
+            stats.record_snoops(len(destinations), page_type)
             if index == last and index > 0 and plan.last_is_persistent:
                 stats.persistent_requests += 1
             # The request multicast (cores) + the memory controller copy.

@@ -22,8 +22,6 @@ import random
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
-
-from repro.cache.line import CacheLine
 from repro.core.residence import UNTRACKED_VM
 from repro.hypervisor.vm import DOM0_VM_ID, VCpu
 from repro.mem.pagetype import PageType
@@ -69,8 +67,8 @@ class SimulationEngine:
         self._migration_period = period
         self._next_migration = period if period is not None else None
         # Hot-path aliases: every component below is looked up once per
-        # access in _step, and none of them changes identity during a run
-        # (stats objects are swapped on reset, so they stay on self).
+        # access in _run_phase, and none of them changes identity during
+        # a run (stats objects are swapped on reset, so they stay on self).
         self._workloads = system.workloads
         self._caches = system.caches
         self._memory = system.hypervisor.memory
@@ -216,12 +214,12 @@ class SimulationEngine:
     ) -> List[int]:
         """Advance every vCPU by ``budget`` accesses; returns final clocks.
 
-        The loop body is the simulator's innermost hot path: the per-access
-        step is inlined here, and the dominant case — a guest load that
-        hits the L1 — completes without entering any helper. The statistic
-        updates keep exactly the order the out-of-line helpers would
-        produce, which is what makes the optimisation invisible to every
-        counter.
+        The reference oracle: each access goes through the canonical
+        methods — :meth:`PrivateHierarchy.access` for the local lookup,
+        :meth:`TokenRegistry.write_hit` for the silent-store check and
+        :meth:`_transact` for everything coherence-visible — so the
+        batched kernel's inlined copies of those paths are checked
+        against the methods themselves, not against a second inlining.
         """
         heap: List[Tuple[int, int, int]] = []
         remaining = []
@@ -235,29 +233,20 @@ class SimulationEngine:
         heappush = heapq.heappush
         heappop = heapq.heappop
         migrate = migrate and self._next_migration is not None
-        next_migration = self._next_migration if migrate else 0
+        next_migration = self._next_migration if migrate else float("inf")
         # Metrics boundary: inf unless a recorder is active this phase.
         metrics = self._metrics
         next_sample = self._next_sample
-        # Folded deadline: the soonest coherence-visible boundary (metrics
-        # sample or migration window). The hot loop compares each popped
-        # clock against this single value; the two-way split below only
-        # runs when a boundary is actually due, so the common access pays
-        # one comparison instead of two.
-        boundary = next_sample
-        if migrate and next_migration < boundary:
-            boundary = next_migration
-        workloads = self._workloads
         caches = self._caches
         mem_translate = self._mem_translate
+        transact = self._transact
+        write_hit = self.system.registry.write_hit
         guest_initiator = Initiator.GUEST
         hyp_initiator = Initiator.HYPERVISOR
         ro_shared = PageType.RO_SHARED
         write_to_page = self._write_to_page
         page_shift = self._page_shift
         rw_shared_translate = self._rw_shared_translate
-        # Registry record dict, for the inlined write_hit check below.
-        reg_blocks = self.system.registry._blocks
         # Per-heap-index hoists: a vCPU's VM, stream index and memo never
         # change (only its core does), so resolve them once per phase. The
         # stepper closures keep all generator state in cells — the loop
@@ -274,18 +263,12 @@ class SimulationEngine:
         while heap:
             local_time, _, index = heappop(heap)
             self.now = local_time
-            if local_time >= boundary:
-                # Same check order as the pre-fold loop: sample first,
-                # then migration, each against its own deadline.
-                if local_time >= next_sample:
-                    next_sample = metrics.sample(local_time)
-                if migrate and local_time >= next_migration:
-                    self._maybe_migrate()
-                    next_migration = self._next_migration
-                    cores = [v.core for v in vcpus]
-                boundary = next_sample
-                if migrate and next_migration < boundary:
-                    boundary = next_migration
+            if local_time >= next_sample:
+                next_sample = metrics.sample(local_time)
+            if local_time >= next_migration:
+                self._maybe_migrate()
+                next_migration = self._next_migration
+                cores = [v.core for v in vcpus]
             initiator, guest_page, block_index, is_write = steppers[index]()
             vm_id = vm_ids[index]
             if initiator is guest_initiator:
@@ -320,68 +303,19 @@ class SimulationEngine:
             l1_by_page_type[page_type] += 1
 
             hierarchy = caches[core]
-            # Inlined PrivateHierarchy.access (see that method for the
-            # canonical, readable version — behaviour here is identical,
-            # including counter and LRU update order). The silent-write
-            # check additionally inlines TokenRegistry.write_hit.
-            l1_set = hierarchy._l1_sets[block & hierarchy._l1_mask]
-            l1_line = l1_set.get(block)
-            if l1_line is not None:
-                del l1_set[block]
-                l1_set[block] = l1_line
-                hierarchy.l1_hits += 1
-                latency = hierarchy.l1_latency
-                if is_write:
-                    l1_line.dirty = True
-                    hierarchy._l2_sets[block & hierarchy._l2_mask][block].dirty = True
-                    state = reg_blocks.get(block)
-                    if (
-                        state is not None
-                        and state.owner == core
-                        and len(state.sharers) == 1
-                        and core in state.sharers
-                    ):
-                        state.dirty = True
-                    else:
-                        latency += self._transact(
-                            core, vm_id, block, True, page_type, initiator,
-                            vm_tag, hierarchy, True,
-                        )
-            else:
-                l2_set = hierarchy._l2_sets[block & hierarchy._l2_mask]
-                l2_line = l2_set.get(block)
-                if l2_line is not None:
-                    del l2_set[block]
-                    l2_set[block] = l2_line
-                    hierarchy.l2_hits += 1
-                    if is_write:
-                        l2_line.dirty = True
-                    # Promote into the L1 (inclusion; L1 has no observer).
-                    if len(l1_set) >= hierarchy._l1_ways:
-                        del l1_set[next(iter(l1_set))]
-                    l1_set[block] = CacheLine(block, vm_tag, is_write)
-                    latency = hierarchy.l1_latency + hierarchy.l2_latency
-                    if is_write:
-                        state = reg_blocks.get(block)
-                        if (
-                            state is not None
-                            and state.owner == core
-                            and len(state.sharers) == 1
-                            and core in state.sharers
-                        ):
-                            state.dirty = True
-                        else:
-                            latency += self._transact(
-                                core, vm_id, block, True, page_type, initiator,
-                                vm_tag, hierarchy, True,
-                            )
-                else:
-                    hierarchy.misses += 1
-                    latency = hierarchy.l1_latency + hierarchy.l2_latency
-                    latency += self._transact(
-                        core, vm_id, block, is_write, page_type, initiator,
-                        vm_tag, hierarchy, False,
-                    )
+            result = hierarchy.access(block, vm_tag, is_write)
+            latency = result.latency
+            if not result.hit:
+                latency += transact(
+                    core, vm_id, block, is_write, page_type, initiator,
+                    vm_tag, hierarchy, False,
+                )
+            elif is_write and not write_hit(core, block):
+                # A store hit without every token: upgrade via a GETM.
+                latency += transact(
+                    core, vm_id, block, True, page_type, initiator,
+                    vm_tag, hierarchy, True,
+                )
 
             remaining[index] -= 1
             next_time = local_time + think + latency
@@ -458,10 +392,10 @@ class SimulationEngine:
     ) -> int:
         """Run the coherence transaction for one access; returns its latency.
 
-        Called from the `_run_phase` fast path for the minority of accesses
-        that miss the private hierarchy or store without exclusive tokens.
-        Split into a pure *plan* step (the memoised snoop-filter lookup,
-        which mutates nothing) and :meth:`_apply_transact` (everything
+        Called from `_run_phase` for the minority of accesses that miss
+        the private hierarchy or store without exclusive tokens. Split
+        into a pure *plan* step (the memoised snoop-filter lookup, which
+        mutates nothing) and :meth:`_apply_transact` (everything
         with side effects), so callers that must inspect a plan before
         committing to it — the batched kernel's bulk-miss seam — can run
         the plan step alone and hand the result back here.
@@ -493,34 +427,9 @@ class SimulationEngine:
             core, vm_id, block, is_write, plan, cycle=self.now
         )
         if not hit:
-            # Inlined PrivateHierarchy.fill (see that method for the
-            # canonical version): the block is known absent at both levels
-            # — the caller just missed, and the transaction above only
-            # invalidates *other* cores' copies — and the L1 carries no
-            # observer. Observer event order (evict, then insert) matches
-            # SetAssociativeCache.insert.
-            dirty = is_write or outcome.fill_dirty
-            l2_set = hierarchy._l2_sets[block & hierarchy._l2_mask]
-            observer = hierarchy._l2_observer
-            victim = None
-            if len(l2_set) >= hierarchy._l2_ways:
-                victim = l2_set.pop(next(iter(l2_set)))
-                if observer is not None:
-                    observer.on_evict(victim)
-            line = CacheLine(block, vm_tag, dirty)
-            l2_set[block] = line
-            if observer is not None:
-                observer.on_insert(line)
-            if victim is not None:
-                # Inclusion: drop the victim's L1 copy (before the L1
-                # capacity check below, as fill does).
-                hierarchy._l1_sets[victim.block & hierarchy._l1_mask].pop(
-                    victim.block, None
-                )
-            l1_set = hierarchy._l1_sets[block & hierarchy._l1_mask]
-            if len(l1_set) >= hierarchy._l1_ways:
-                del l1_set[next(iter(l1_set))]
-            l1_set[block] = CacheLine(block, vm_tag, dirty)
+            victim = hierarchy.fill(
+                block, vm_tag, dirty=is_write or outcome.fill_dirty
+            )
             if victim is not None:
                 self._handle_eviction(core, victim, cycle=self.now)
         if self._observe_outcome is not None:

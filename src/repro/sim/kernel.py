@@ -375,12 +375,13 @@ class BatchedEngine(SimulationEngine):
                 # exact order (_transact -> execute -> _try_* ->
                 # _apply_transact's fill -> handle_eviction). One window
                 # check covers every network leg charged at this cycle
-                # (the window can roll over at most once per cycle value
-                # — the same fusion _memory_read_latency uses), so the
-                # contention term is one hoisted constant, and the
-                # traffic counters are flushed in one batch at the end
-                # (nothing reads them mid-transaction: the sanitizer is
-                # gated off and metrics sample between accesses).
+                # (the window can roll over at most once per cycle value,
+                # which is why the reference path's separate sends all
+                # see one window): the contention term is one hoisted
+                # constant, and the traffic counters are flushed in one
+                # batch at the end (nothing reads them mid-transaction:
+                # the sanitizer is gated off and metrics sample between
+                # accesses).
                 if cycle - network._window_start >= window_cycles:
                     advance_window(cycle)
                 u = network._last_utilisation

@@ -17,6 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.hierarchy import PrivateHierarchy
+from repro.coherence.registry import TokenRegistry
+from repro.coherence.stats import CoherenceStats
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
@@ -160,6 +163,64 @@ def assert_identical_on_step_path(config: SimConfig, app: str = "fft") -> None:
     budget = config.accesses_per_vcpu + config.warmup_accesses_per_vcpu
     assert calls[0] == vcpus * budget
     assert json.dumps(system.stats.to_dict(), sort_keys=True) == reference
+
+
+_CANONICAL_ACCESS = PrivateHierarchy.access
+_CANONICAL_RECORD_TRANSACTION = CoherenceStats.record_transaction
+
+
+def _write_hit_never_silent(self, core, block):
+    return False
+
+
+def _access_without_promote(self, block, vm_id, is_write):
+    if self.l1.contains(block):
+        return _CANONICAL_ACCESS(self, block, vm_id, is_write)
+    line = self.l2.lookup(block)
+    if line is None:
+        self.misses += 1
+        return self._miss_result
+    self.l2_hits += 1
+    if is_write:
+        line.dirty = True
+    return self._l2_result
+
+
+def _record_transaction_dropping_getms(self, page_type, is_write):
+    if not is_write:
+        _CANONICAL_RECORD_TRANSACTION(self, page_type, is_write)
+
+
+# One slip per canonical method the reference oracle calls and the
+# batched kernel inlines: the differential must see each of them.
+_SLIPS = {
+    "write_hit-never-silent": (
+        TokenRegistry, "write_hit", _write_hit_never_silent,
+    ),
+    "access-without-l2-promote": (
+        PrivateHierarchy, "access", _access_without_promote,
+    ),
+    "record_transaction-drops-getms": (
+        CoherenceStats, "record_transaction",
+        _record_transaction_dropping_getms,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(_SLIPS))
+def canonical_slip(request, monkeypatch):
+    """Patch one canonical method for one test; monkeypatch restores it."""
+    owner, name, slip = _SLIPS[request.param]
+    monkeypatch.setattr(owner, name, slip)
+    return request.param
+
+
+def test_differential_sees_slips_in_canonical_methods(canonical_slip):
+    # The reference loop calls these methods; the batched kernel inlines
+    # them. A slip in the method must therefore split the two kernels.
+    reference = run_stats(replace(BASE, kernel="reference"))
+    batched = run_stats(replace(BASE, kernel="batched"))
+    assert batched != reference, canonical_slip
 
 
 class TestStepPath:
