@@ -63,6 +63,9 @@ class SimulationEngine:
         ]
         system.snoop_filter.clock = lambda: self.now  # used by vsnoop filters
         self._observe_outcome = getattr(system.snoop_filter, "observe_outcome", None)
+        # Set by warm(): whether the warm-up could not tell the vSnoop
+        # policies apart (see warm()).
+        self.warmup_policy_blind = False
         period = self.config.migration_period_cycles
         self._migration_period = period
         self._next_migration = period if period is not None else None
@@ -163,6 +166,10 @@ class SimulationEngine:
         After this the system is in exactly the state
         :meth:`restore_warm` reproduces from a snapshot: architectural
         state warm, every measurement counter zeroed.
+
+        Also sets :attr:`warmup_policy_blind`, the witness that lets one
+        warm-up stand for every policy of the vSnoop family
+        (:func:`repro.sim.runner.snapshot_key`).
         """
         warmup = (
             warmup_accesses_per_vcpu
@@ -170,9 +177,22 @@ class SimulationEngine:
             else self.config.warmup_accesses_per_vcpu
         )
         clocks = [0] * len(self._vcpus)
+        self.warmup_policy_blind = True
         if warmup > 0:
+            domains = getattr(self.system.snoop_filter, "domains", None)
+            version = domains.version if domains is not None else None
             with collector_paused():
                 clocks = self._run_phase(clocks, warmup, migrate=False)
+            # Read before the reset zeroes the counters: with no retry,
+            # no persistent request and no vCPU-map edit, every
+            # transaction completed on its plan's first attempt over the
+            # placement-time maps, which the vSnoop policies share.
+            coherence = self.stats.coherence
+            self.warmup_policy_blind = (
+                coherence.retries == 0
+                and coherence.persistent_requests == 0
+                and (domains is None or domains.version == version)
+            )
             self._reset_measurements(min(clocks))
         return clocks
 

@@ -657,6 +657,10 @@ class BatchedEngine(SimulationEngine):
             l1_by_page_type[page_type] += 1
 
             # ---- cache probe (reference order, call-free LRU) ----
+            # store_hit marks a store that hit L1 or L2; the one upgrade
+            # check below then runs after the hit's LRU and fill updates,
+            # exactly where the reference path's write_hit runs.
+            store_hit = False
             l1_set = l1_sets_by_core[core][block & l1_mask]
             if block in l1_set:
                 l1_line = l1_set[block]
@@ -667,72 +671,21 @@ class BatchedEngine(SimulationEngine):
                 if is_write:
                     l1_line.dirty = True
                     l2_sets_by_core[core][block & l2_mask][block].dirty = True
-                    if block in reg_blocks:
-                        state = reg_blocks[block]
-                        if state.owner == core and state.sharers == {core}:
-                            state.dirty = True
-                        else:
-                            if bulk is not None:
-                                bail["store-upgrade"] = (
-                                    bail.get("store-upgrade", 0) + 1
-                                )
-                            self.now = local_time
-                            latency += transact(
-                                core, vm_id, block, True, page_type,
-                                initiator, vm_tag, hierarchies[core], True,
-                            )
-                    else:
-                        if bulk is not None:
-                            bail["store-upgrade"] = (
-                                bail.get("store-upgrade", 0) + 1
-                            )
-                        self.now = local_time
-                        latency += transact(
-                            core, vm_id, block, True, page_type,
-                            initiator, vm_tag, hierarchies[core], True,
-                        )
+                    store_hit = True
             else:
                 l2_set = l2_sets_by_core[core][block & l2_mask]
                 if block in l2_set:
                     l2_line = l2_set[block]
                     del l2_set[block]
                     l2_set[block] = l2_line
-                    hierarchy = hierarchies[core]
-                    hierarchy.l2_hits += 1
+                    hierarchies[core].l2_hits += 1
                     if is_write:
                         l2_line.dirty = True
+                        store_hit = True
                     if len(l1_set) >= l1_ways:
                         del l1_set[next(iter(l1_set))]
                     l1_set[block] = CacheLine(block, vm_tag, is_write)
                     latency = l12_latency
-                    if is_write:
-                        if block in reg_blocks:
-                            state = reg_blocks[block]
-                            if (
-                                state.owner == core
-                                and state.sharers == {core}
-                            ):
-                                state.dirty = True
-                            else:
-                                if bulk is not None:
-                                    bail["store-upgrade"] = (
-                                        bail.get("store-upgrade", 0) + 1
-                                    )
-                                self.now = local_time
-                                latency += transact(
-                                    core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, hierarchy, True,
-                                )
-                        else:
-                            if bulk is not None:
-                                bail["store-upgrade"] = (
-                                    bail.get("store-upgrade", 0) + 1
-                                )
-                            self.now = local_time
-                            latency += transact(
-                                core, vm_id, block, True, page_type,
-                                initiator, vm_tag, hierarchy, True,
-                            )
                 else:
                     hierarchy = hierarchies[core]
                     hierarchy.misses += 1
@@ -754,6 +707,24 @@ class BatchedEngine(SimulationEngine):
                             core, vm_id, block, is_write, page_type,
                             initiator, vm_tag, hierarchy, False,
                         )
+            if store_hit:
+                # Silent when this core holds every token (the reference
+                # write_hit); otherwise upgrade via a GETM.
+                state = reg_blocks[block] if block in reg_blocks else None
+                if (
+                    state is not None
+                    and state.owner == core
+                    and state.sharers == {core}
+                ):
+                    state.dirty = True
+                else:
+                    if bulk is not None:
+                        bail["store-upgrade"] = bail.get("store-upgrade", 0) + 1
+                    self.now = local_time
+                    latency += transact(
+                        core, vm_id, block, True, page_type,
+                        initiator, vm_tag, hierarchies[core], True,
+                    )
 
             # ---- schedule (provably the reference pop order) -----
             next_time = local_time + think + latency

@@ -74,6 +74,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.core.filter import SnoopPolicy
 from repro.sim.config import SimConfig
 from repro.sim.engine import collector_paused
 from repro.sim.stats import SimStats
@@ -125,9 +126,9 @@ def run_simulation_task(task: SimTask) -> SimStats:
     Reuse, when a :mod:`repro.store` is configured (the default):
 
     * a stored **result** for this exact cell is returned directly;
-    * otherwise a stored **warm-state snapshot** for the cell's warmup
-      fingerprint replaces the warm-up phase (and a fresh warm-up is
-      snapshotted for the next cell sharing the fingerprint).
+    * otherwise a stored **warm-state snapshot** under the cell's
+      :func:`snapshot_key` replaces the warm-up phase (and a fresh
+      warm-up is snapshotted for the next cell sharing the key).
 
     Both substitutions are bit-identical by construction — the result
     round-trips losslessly through ``SimStats.to_dict``, and the
@@ -184,10 +185,10 @@ def prepare_task(task: SimTask):
     """Build a system and bring it to the measurement boundary.
 
     Returns ``(system, engine, clocks)`` with the warm-up done — served
-    from a stored warm-state snapshot when one matches the task's warmup
-    fingerprint, run (and snapshotted for the next sharer) otherwise.
-    Callers that need the live system (tracing, sanitizing, profiling)
-    use this directly and then run ``engine.measure(clocks)``;
+    from a stored warm-state snapshot when one matches the task's
+    :func:`snapshot_key`, run (and snapshotted for the next sharer)
+    otherwise. Callers that need the live system (tracing, sanitizing,
+    profiling) use this directly and then run ``engine.measure(clocks)``;
     :func:`run_simulation_task` adds the result-store layer on top.
     """
     store = get_store()
@@ -200,7 +201,7 @@ def prepare_task(task: SimTask):
         and snapshots_enabled()
         and task.config.warmup_accesses_per_vcpu > 0
     ):
-        fingerprint_key, fingerprint = warmup_fingerprint(task)
+        fingerprint_key, fingerprint = snapshot_key(task)
         if not task.config.sanitize:
             state = store.load_snapshot(fingerprint_key, task.app, fingerprint)
             if state is not None:
@@ -231,9 +232,23 @@ def prepare_task(task: SimTask):
     if clocks is None:
         clocks = engine.warm()
         if fingerprint_key is not None:
-            store.save_snapshot(
-                fingerprint_key, task.app, fingerprint, system.snapshot(clocks)
-            )
+            if (
+                fingerprint["snoop_policy"] == POLICY_FAMILY_VALUE
+                and not engine.warmup_policy_blind
+            ):
+                print(
+                    f"[repro.store] not saving snapshot {fingerprint_key}: "
+                    "the warm-up retried, escalated or edited a vCPU map, "
+                    "so it does not stand for the whole vSnoop policy family",
+                    file=sys.stderr,
+                )
+            else:
+                store.save_snapshot(
+                    fingerprint_key,
+                    task.app,
+                    fingerprint,
+                    system.snapshot(clocks),
+                )
     return system, engine, clocks
 
 
@@ -447,6 +462,45 @@ def warmup_fingerprint(task: SimTask) -> tuple:
         for name, value in config_to_dict(task.config).items()
         if name not in WARMUP_INERT_FIELDS
     }
+    payload = {"app": task.app, "warmup_config": fingerprint}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16], fingerprint
+
+
+VSNOOP_POLICY_FAMILY = frozenset(
+    {
+        SnoopPolicy.VSNOOP_BASE,
+        SnoopPolicy.VSNOOP_COUNTER,
+        SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+    }
+)
+"""vSnoop policies that differ only in how a vCPU map shrinks after a
+migration (Section IV-B), so a warm-up that provably never left the
+placement-time maps warms all of them alike."""
+
+POLICY_FAMILY_VALUE = "vsnoop-family"
+"""The ``snoop_policy`` value of a family-keyed snapshot payload."""
+
+
+def snapshot_key(task: SimTask) -> tuple:
+    """(key, payload) under which :func:`prepare_task` stores a warm-up.
+
+    A vSnoop cell whose policy is in :data:`VSNOOP_POLICY_FAMILY` gets
+    :func:`warmup_fingerprint`'s payload with the policy replaced by
+    :data:`POLICY_FAMILY_VALUE`, so a Figure 7-9 sweep warms once per
+    app across policies and periods. That is sound only under the
+    engine's ``warmup_policy_blind`` witness, which ``prepare_task``
+    checks before saving such a snapshot. Every other cell (broadcast,
+    RegionScout) keeps its exact warm-up fingerprint.
+    """
+    key, fingerprint = warmup_fingerprint(task)
+    config = task.config
+    if (
+        config.filter_kind != "vsnoop"
+        or config.snoop_policy not in VSNOOP_POLICY_FAMILY
+    ):
+        return key, fingerprint
+    fingerprint = dict(fingerprint, snoop_policy=POLICY_FAMILY_VALUE)
     payload = {"app": task.app, "warmup_config": fingerprint}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16], fingerprint

@@ -14,13 +14,17 @@ scoped to one campaign, whose results are its checkpoints.
   benchmark harness — reuses them.
 * **warm-state snapshots** — the post-warmup architectural state of a
   simulated system (:meth:`repro.sim.system.SimulatedSystem.snapshot`),
-  keyed by a *warmup fingerprint*: the config minus fields provably
-  inert before measurement begins. A period sweep warms once and forks.
+  keyed by :func:`repro.sim.runner.snapshot_key`: the *warmup
+  fingerprint* (the config minus fields provably inert before
+  measurement begins), with the vSnoop policy family collapsed to one
+  value. A Figures 7-9 sweep warms once per app and forks. Each file is
+  the SHA-256 digest of its pickle bytes followed by those bytes.
 
 Trust model
 -----------
 
-Every entry embeds three things the loader verifies before serving:
+Every entry embeds three things the loader verifies before serving
+(a snapshot's digest is verified before it is even unpickled):
 
 1. ``state_version`` — the :data:`STATE_VERSION` stamp below, bumped by
    hand whenever simulation semantics change. A stale entry is *not* a
@@ -46,6 +50,7 @@ of inferred.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -73,6 +78,8 @@ _DISABLED_VALUES = {"0", "off", "none", "disabled"}
 
 _RESULT_FORMAT = 1
 _SNAPSHOT_FORMAT = 1
+# A snapshot file starts with the SHA-256 digest of the pickle after it.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def store_root() -> Optional[Path]:
@@ -230,8 +237,10 @@ class ResultStore:
         """The stored post-warmup state for this fingerprint, or ``None``.
 
         Snapshots are plain-data dicts (every leaf a builtin type), so
-        pickle round-trips them exactly; the same version/key/identity
-        checks as results apply before anything is served.
+        pickle round-trips them exactly. The file is the SHA-256 digest
+        of the pickle bytes followed by those bytes; the digest is
+        verified before anything is unpickled, then the same
+        version/key/identity checks as results apply.
         """
         path = self._snapshot_path(fingerprint_key)
         try:
@@ -239,14 +248,21 @@ class ResultStore:
         except OSError:
             self.snapshot_misses += 1
             return None
-        try:
-            payload = pickle.loads(raw)
-            reason = self._check_snapshot(payload, fingerprint_key, app, fingerprint)
-            if reason is None:
-                self.snapshot_hits += 1
-                return payload["state"]
-        except Exception as exc:  # pickle raises wildly varied types
-            reason = f"corrupt entry ({exc.__class__.__name__}: {exc})"
+        digest, body = raw[:_DIGEST_BYTES], raw[_DIGEST_BYTES:]
+        if hashlib.sha256(body).digest() != digest:
+            # A torn or tampered file never reaches pickle.loads.
+            reason: Optional[str] = "checksum mismatch"
+        else:
+            try:
+                payload = pickle.loads(body)
+                reason = self._check_snapshot(
+                    payload, fingerprint_key, app, fingerprint
+                )
+                if reason is None:
+                    self.snapshot_hits += 1
+                    return payload["state"]
+            except Exception as exc:  # pickle raises wildly varied types
+                reason = f"corrupt entry ({exc.__class__.__name__}: {exc})"
         self.snapshot_skipped += 1
         self._warn("snapshot", path, reason)
         return None
@@ -286,7 +302,8 @@ class ResultStore:
         self.snapshots_dir.mkdir(parents=True, exist_ok=True)
         path = self._snapshot_path(fingerprint_key)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.write_bytes(hashlib.sha256(body).digest() + body)
         os.replace(tmp, path)
 
     # ------------------------------------------------------------------

@@ -7,8 +7,12 @@ baseline, and for the golden-corpus configurations, through a full
 pickle round trip (what the on-disk store actually does). Any diff here
 means the snapshot misses mutable state or the restore rebuilds it
 wrong, and the store would silently corrupt every campaign it serves.
+The same holds across the vSnoop policy family: one policy's warm-up,
+restored under another family member, measures exactly like that
+member's own straight run.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -16,7 +20,7 @@ import pytest
 
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.sim import SimConfig, SimTask, SimulationEngine, build_system
-from repro.sim.runner import run_simulation_task
+from repro.sim.runner import VSNOOP_POLICY_FAMILY, run_simulation_task
 from repro.workloads import get_profile
 
 from tests.golden.cases import GOLDEN_CASES
@@ -102,6 +106,49 @@ class TestEveryPolicyRestoresBitIdentically:
         )
 
 
+def _warm_once_restore_into_the_family(config: SimConfig, app: str) -> None:
+    """Warm under ``config``'s policy, restore into each other member.
+
+    The runner keys a vSnoop snapshot by policy family (``snapshot_key``)
+    only when the warm-up was policy-blind; here that witness must hold,
+    and every other family member measured from the restored state must
+    match its own straight run bit-for-bit.
+    """
+    producer = build_system(config, get_profile(app))
+    engine = SimulationEngine(producer)
+    clocks = engine.warm()
+    assert engine.warmup_policy_blind
+    blob = pickle.dumps(producer.snapshot(clocks), protocol=pickle.HIGHEST_PROTOCOL)
+    others = VSNOOP_POLICY_FAMILY - {config.snoop_policy}
+    for policy in sorted(others, key=lambda p: p.value):
+        member = dataclasses.replace(config, snoop_policy=policy)
+        consumer = build_system(member, get_profile(app))
+        engine = SimulationEngine(consumer)
+        engine.measure(engine.restore_warm(pickle.loads(blob)))
+        restored = json.dumps(consumer.stats.to_dict(), sort_keys=True)
+        straight = json.dumps(_straight(SimTask(member, app)), sort_keys=True)
+        assert restored == straight, policy
+
+
+_FAMILY_CASES = {
+    **{
+        name: SimTask(config, "fft")
+        for name, config in _POLICY_CASES.items()
+        if config.filter_kind == "vsnoop"
+        and config.snoop_policy in VSNOOP_POLICY_FAMILY
+    },
+    "migration-heavy-ocean": GOLDEN_CASES["migration-heavy-ocean"],
+    "content-intra-vm-blackscholes": GOLDEN_CASES["content-intra-vm-blackscholes"],
+}
+
+
+class TestOneWarmupServesThePolicyFamily:
+    @pytest.mark.parametrize("name", sorted(_FAMILY_CASES))
+    def test_case(self, name):
+        task = _FAMILY_CASES[name]
+        _warm_once_restore_into_the_family(task.config, task.app)
+
+
 class TestGoldenConfigsRestoreBitIdentically:
     """The frozen golden configs through the snapshot path.
 
@@ -121,8 +168,6 @@ class TestStorePathEndToEnd:
     ):
         """Through run_simulation_task: cell B consumes cell A's warm-up
         and still matches its own store-off reference bit-for-bit."""
-        import dataclasses
-
         config = SimConfig(accesses_per_vcpu=600, warmup_accesses_per_vcpu=300)
         sibling = dataclasses.replace(config, accesses_per_vcpu=601)
 

@@ -9,6 +9,7 @@ warmup-relevant config fields, properly apart.
 """
 
 import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -16,10 +17,15 @@ import pytest
 
 from repro import store as store_mod
 from repro.sim import SimConfig, SimTask, run_matrix_detailed, task_key
+from repro.core.filter import ContentPolicy, SnoopPolicy
+from repro.sim import runner as runner_mod
 from repro.sim.runner import (
+    POLICY_FAMILY_VALUE,
+    VSNOOP_POLICY_FAMILY,
     WARMUP_INERT_FIELDS,
     config_to_dict,
     run_simulation_task,
+    snapshot_key,
     warmup_fingerprint,
 )
 from repro.store import STATE_VERSION, ResultStore, get_store, store_root
@@ -181,6 +187,17 @@ class TestResultHardening:
         assert leftovers == []
 
 
+def _read_snapshot_payload(path):
+    """The unpickled envelope of a snapshot file (digest, then pickle)."""
+    return pickle.loads(path.read_bytes()[hashlib.sha256().digest_size :])
+
+
+def _write_snapshot_payload(path, payload):
+    """Rewrite a snapshot file with a valid digest over ``payload``."""
+    body = pickle.dumps(payload)
+    path.write_bytes(hashlib.sha256(body).digest() + body)
+
+
 class TestSnapshotHardening:
     def _snapshot_entry(self, store):
         task = SimTask(tiny_config(seed=51), "fft")
@@ -204,9 +221,9 @@ class TestSnapshotHardening:
 
     def test_stale_snapshot_version_is_skipped(self, fresh_store, capsys):
         task, path = self._snapshot_entry(fresh_store)
-        payload = pickle.loads(path.read_bytes())
+        payload = _read_snapshot_payload(path)
         payload["state_version"] = STATE_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
+        _write_snapshot_payload(path, payload)
         sibling = SimTask(
             dataclasses.replace(task.config, accesses_per_vcpu=301), task.app
         )
@@ -223,9 +240,9 @@ class TestSnapshotHardening:
             SimTask(dataclasses.replace(task.config, seed=52), task.app)
         )  # unrelated cell, just to keep the store honest
         assert straight is not None
-        payload = pickle.loads(path.read_bytes())
+        payload = _read_snapshot_payload(path)
         payload["state"]["caches"] = {"broken": True}
-        path.write_bytes(pickle.dumps(payload))
+        _write_snapshot_payload(path, payload)
         sibling = SimTask(
             dataclasses.replace(task.config, accesses_per_vcpu=301), task.app
         )
@@ -243,6 +260,29 @@ class TestSnapshotHardening:
         finally:
             os.environ["REPRO_STORE"] = previous
         assert fresh_store_off == json.dumps(reference.to_dict(), sort_keys=True)
+
+    def test_flipped_byte_fails_the_checksum_and_warmup_reruns(
+        self, fresh_store, capsys, monkeypatch
+    ):
+        task, path = self._snapshot_entry(fresh_store)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        sibling = SimTask(
+            dataclasses.replace(task.config, accesses_per_vcpu=301), task.app
+        )
+        served = run_simulation_task(sibling)
+        counters = fresh_store.counters()
+        assert counters["snapshot_skipped"] == 1
+        assert counters["snapshot_hits"] == 0  # warmed straight
+        err = capsys.readouterr().err
+        assert "[repro.store] skipping snapshot" in err
+        assert "checksum mismatch" in err
+        monkeypatch.setenv("REPRO_STORE", "off")
+        reference = run_simulation_task(sibling)
+        assert json.dumps(served.to_dict(), sort_keys=True) == json.dumps(
+            reference.to_dict(), sort_keys=True
+        )
 
     def test_snapshots_can_be_disabled_by_env(self, fresh_store, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
@@ -319,6 +359,93 @@ class TestKeySemantics:
         sibling = SimTask(dataclasses.replace(task.config, sanitize=False), "fft")
         run_simulation_task(sibling)
         assert fresh_store.counters()["snapshot_hits"] == 1
+
+
+class TestPolicyFamilyKey:
+    """vSnoop base/counter/counter-threshold share one warm-up key."""
+
+    def test_shared_across_the_three_policies(self):
+        assert len(VSNOOP_POLICY_FAMILY) == 3
+        keys = [
+            snapshot_key(SimTask(tiny_config(snoop_policy=policy), "fft"))
+            for policy in VSNOOP_POLICY_FAMILY
+        ]
+        assert all(entry == keys[0] for entry in keys)
+        assert keys[0][1]["snoop_policy"] == POLICY_FAMILY_VALUE
+
+    def test_splits_outside_the_family(self):
+        base = tiny_config(snoop_policy=SnoopPolicy.VSNOOP_BASE)
+        key = snapshot_key(SimTask(base, "fft"))[0]
+        for variant in (
+            dataclasses.replace(base, snoop_policy=SnoopPolicy.BROADCAST),
+            dataclasses.replace(base, filter_kind="regionscout"),
+            dataclasses.replace(base, content_policy=ContentPolicy.INTRA_VM),
+            dataclasses.replace(base, counter_threshold=11),
+        ):
+            assert snapshot_key(SimTask(variant, "fft"))[0] != key, variant
+
+    def test_non_family_cells_keep_the_exact_fingerprint(self):
+        for config in (
+            tiny_config(snoop_policy=SnoopPolicy.BROADCAST),
+            tiny_config(filter_kind="regionscout"),
+            tiny_config(
+                filter_kind="regionscout",
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER,
+            ),
+        ):
+            task = SimTask(config, "fft")
+            assert snapshot_key(task) == warmup_fingerprint(task)
+
+    def test_a_warmup_retry_saves_no_family_snapshot(
+        self, fresh_store, capsys, monkeypatch
+    ):
+        real_engine_for = runner_mod.engine_for
+
+        def engine_with_a_warmup_retry(system):
+            engine = real_engine_for(system)
+            real_run_phase = engine._run_phase
+
+            def run_phase(clocks, budget, migrate):
+                final = real_run_phase(clocks, budget, migrate)
+                if not migrate:
+                    engine.stats.coherence.retries += 1
+                return final
+
+            engine._run_phase = run_phase
+            return engine
+
+        monkeypatch.setattr(runner_mod, "engine_for", engine_with_a_warmup_retry)
+        first = SimTask(tiny_config(seed=71), "fft")
+        second = SimTask(
+            dataclasses.replace(
+                first.config, snoop_policy=SnoopPolicy.VSNOOP_COUNTER
+            ),
+            "fft",
+        )
+        served = [run_simulation_task(task) for task in (first, second)]
+        counters = fresh_store.counters()
+        assert counters["snapshot_misses"] == 2  # the second warmed straight
+        assert counters["snapshot_hits"] == 0
+        assert not fresh_store.snapshots_dir.exists()
+        err = capsys.readouterr().err
+        assert err.count("[repro.store] not saving snapshot") == 2
+        monkeypatch.setenv("REPRO_STORE", "off")
+        for task, stats in zip((first, second), served):
+            reference = run_simulation_task(task)
+            assert json.dumps(stats.to_dict(), sort_keys=True) == json.dumps(
+                reference.to_dict(), sort_keys=True
+            )
+
+    def test_family_sweep_warms_once(self, fresh_store):
+        tasks = [
+            SimTask(tiny_config(seed=72, snoop_policy=policy), "fft")
+            for policy in sorted(VSNOOP_POLICY_FAMILY, key=lambda p: p.value)
+        ]
+        for task in tasks:
+            run_simulation_task(task)
+        counters = fresh_store.counters()
+        assert counters["snapshot_misses"] == 1
+        assert counters["snapshot_hits"] == len(tasks) - 1
 
 
 def test_module_reexports_are_stable():
